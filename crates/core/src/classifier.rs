@@ -118,6 +118,9 @@ impl MvgConfig {
     }
 }
 
+/// Labels per series, plus class probabilities when they were asked for.
+pub type RowPredictions = (Vec<usize>, Option<Vec<Vec<f64>>>);
+
 /// The end-to-end MVG pipeline: feature extraction + generic classification.
 pub struct MvgClassifier {
     config: MvgConfig,
@@ -260,6 +263,8 @@ impl MvgClassifier {
         self.feature_names = names;
         // min-max scale: harmless for trees, required for SVM
         let (scaler, mut x) = MinMaxScaler::fit_transform(&features)?;
+        // the unscaled copy is dead from here; free it before the model fit
+        drop(features);
         self.scaler = Some(scaler);
         let mut y = labels;
         if self.config.oversample {
@@ -308,21 +313,26 @@ impl MvgClassifier {
     fn transform(&self, dataset: &Dataset) -> crate::Result<FeatureMatrix> {
         let (features, _) = self.extract_features(dataset);
         let rows: Vec<Vec<f64>> = features.rows().map(|r| r.to_vec()).collect();
-        self.transform_rows(rows)
+        self.transform_rows(&rows)
     }
 
     /// Pads/truncates raw (unscaled) feature rows to the training width and
     /// applies the fitted scaler. Rows must come from this classifier's
     /// [`FeatureConfig`](crate::FeatureConfig) (e.g. via
     /// [`crate::extract_series_features_with`]).
-    fn transform_rows(&self, mut rows: Vec<Vec<f64>>) -> crate::Result<FeatureMatrix> {
+    fn transform_rows(&self, rows: &[Vec<f64>]) -> crate::Result<FeatureMatrix> {
         let scaler = self.scaler.as_ref().ok_or(MlError::NotFitted)?;
         // pad/truncate to the training width (different-length test series)
         let width = self.feature_names.len();
-        for row in &mut rows {
-            row.resize(width, 0.0);
+        let mut data = Vec::with_capacity(rows.len() * width);
+        for row in rows {
+            let keep = row.len().min(width);
+            data.extend_from_slice(&row[..keep]);
+            data.resize(data.len() + width - keep, 0.0);
         }
-        let matrix = FeatureMatrix::from_rows(&rows)?;
+        // no rows keep the empty 0x0 shape, which the scaler rejects
+        let width = if rows.is_empty() { 0 } else { width };
+        let matrix = FeatureMatrix::from_flat(data, rows.len(), width)?;
         scaler.transform(&matrix)
     }
 
@@ -336,12 +346,7 @@ impl MvgClassifier {
     /// paths pad to the training width, scale with the fitted scaler and run
     /// the same model.
     pub fn predict_from_feature_rows(&self, rows: Vec<Vec<f64>>) -> crate::Result<Vec<usize>> {
-        let model = self.model.as_ref().ok_or(MlError::NotFitted)?;
-        if rows.is_empty() {
-            return Ok(Vec::new());
-        }
-        let x = self.transform_rows(rows)?;
-        model.predict(&x)
+        Ok(self.predict_feature_rows(&rows, false)?.0)
     }
 
     /// Predicts class probabilities from pre-extracted raw feature rows; the
@@ -354,24 +359,33 @@ impl MvgClassifier {
         if rows.is_empty() {
             return Ok(Vec::new());
         }
-        let x = self.transform_rows(rows)?;
+        let x = self.transform_rows(&rows)?;
         model.predict_proba(&x)
     }
 
-    /// Labels *and* probabilities from pre-extracted raw feature rows,
-    /// padding and scaling the rows only once — the serving batch path when
-    /// a batch contains probability requests. Results are identical to
-    /// calling the two single-output methods separately.
-    pub fn predict_with_proba_from_feature_rows(
+    /// Labels, and probabilities when `with_proba` is set, from borrowed
+    /// pre-extracted raw feature rows, padding and scaling the rows only
+    /// once — the serving batch path. Results are identical to
+    /// [`MvgClassifier::predict_from_feature_rows`] and
+    /// [`MvgClassifier::predict_proba_from_feature_rows`]; the caller keeps
+    /// the rows, e.g. to retry a failed batch request by request.
+    pub fn predict_feature_rows(
         &self,
-        rows: Vec<Vec<f64>>,
-    ) -> crate::Result<(Vec<usize>, Vec<Vec<f64>>)> {
+        rows: &[Vec<f64>],
+        with_proba: bool,
+    ) -> crate::Result<RowPredictions> {
         let model = self.model.as_ref().ok_or(MlError::NotFitted)?;
         if rows.is_empty() {
-            return Ok((Vec::new(), Vec::new()));
+            return Ok((Vec::new(), with_proba.then(Vec::new)));
         }
         let x = self.transform_rows(rows)?;
-        Ok((model.predict(&x)?, model.predict_proba(&x)?))
+        let labels = model.predict(&x)?;
+        let probabilities = if with_proba {
+            Some(model.predict_proba(&x)?)
+        } else {
+            None
+        };
+        Ok((labels, probabilities))
     }
 
     /// Predicts labels for a dataset.
@@ -667,10 +681,13 @@ mod tests {
             clf.predict_proba_from_feature_rows(rows.clone()).unwrap(),
             expected_proba
         );
-        let (combined_pred, combined_proba) =
-            clf.predict_with_proba_from_feature_rows(rows).unwrap();
+        let (combined_pred, combined_proba) = clf.predict_feature_rows(&rows, true).unwrap();
         assert_eq!(combined_pred, expected);
-        assert_eq!(combined_proba, expected_proba);
+        assert_eq!(combined_proba, Some(expected_proba));
+        assert_eq!(
+            clf.predict_feature_rows(&rows, false).unwrap(),
+            (expected, None)
+        );
         assert!(clf
             .predict_from_feature_rows(Vec::new())
             .unwrap()

@@ -4,9 +4,13 @@
 //! call has grown every scratch buffer, repeated [`count_motifs_with`] calls
 //! on the same workspace must perform exactly zero heap allocations — the
 //! core promise of the CSR + marker-array rewrite.
+//!
+//! The count is per thread: the test harness runs these tests in parallel,
+//! and a process-wide counter would charge one test with another's
+//! allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use tsg_graph::motifs::{count_motifs_bruteforce, count_motifs_with, MotifWorkspace};
 use tsg_graph::visibility::{horizontal_visibility_graph, visibility_graph};
@@ -14,14 +18,23 @@ use tsg_graph::Graph;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // `const`-initialised: no lazy init, so bumping it never allocates
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails only while the thread's locals are being torn down;
+    // no test measures then
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: the impl upholds the GlobalAlloc contract by delegating every
-// call verbatim to `System` — same layout, same pointer — only bumping an
-// atomic counter on the side, which cannot itself allocate or unwind.
+// call verbatim to `System` — same layout, same pointer — only bumping a
+// thread-local counter on the side, which cannot itself allocate or unwind.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: `layout` is forwarded unchanged from our caller, who
         // guarantees it is valid per the GlobalAlloc contract.
         unsafe { System.alloc(layout) }
@@ -38,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: same delegation argument as `dealloc` for `ptr`/`layout`;
     // `new_size` is forwarded unchanged.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: see above — a direct delegation of the caller's contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -48,7 +61,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocation_count() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 fn pseudo_series(seed: u64, n: usize) -> Vec<f64> {

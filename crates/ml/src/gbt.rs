@@ -113,14 +113,142 @@ impl RegressionTree {
     }
 }
 
+/// The exact greedy split search over presorted column blocks (Chen &
+/// Guestrin, KDD 2016), with buffers reused across trees and rounds.
+///
+/// Once per boosting round, [`ColumnBlocks::presort`] stable-sorts the
+/// round's rows by every column; the round's class trees share that order.
+/// Each tree copies its sampled columns into a segment buffer in which every
+/// open node owns the same `lo..hi` range of every column, sorted by value.
+/// A split stable-partitions each column's range, left rows first, so the
+/// children's ranges are sorted too.
+///
+/// This is bit-identical to stable-sorting each node's rows per feature:
+/// partitions are stable, so a node's rows are always a subsequence of the
+/// round's rows in round order, and a stable sort of them orders ties by
+/// round position, exactly as the partitioned round sort does. The scan
+/// thus visits the same rows in the same order and accumulates the same
+/// sums. That argument needs a total order on the values, i.e. finite
+/// inputs (`partial_cmp` does not order NaN); every `MvgClassifier` path
+/// scales through `MinMaxScaler`, which rejects non-finite values.
+#[derive(Default)]
+struct ColumnBlocks {
+    /// Rows in the round, `m` of them.
+    m: usize,
+    /// `n_cols` blocks of `m`: the round's rows sorted by each column.
+    /// Rows only, to keep the shared order small; a tree gathers the
+    /// values of its sampled columns.
+    round_rows: Vec<u32>,
+    /// The tree's sampled columns, one block of `m` per feature, in
+    /// feature order; each node's rows sit at its `lo..hi` in every block.
+    seg_vals: Vec<f64>,
+    seg_rows: Vec<u32>,
+    /// Each node's rows in round order, at the node's `lo..hi`.
+    indices: Vec<u32>,
+    /// Per row: whether the current split sends it left.
+    goes_left: Vec<bool>,
+    /// Scratch for sorting and for the right halves of partitions.
+    pairs: Vec<(f64, u32)>,
+    scratch_vals: Vec<f64>,
+    scratch_rows: Vec<u32>,
+}
+
+impl ColumnBlocks {
+    /// Stable-sorts the round's rows by every column of `x`.
+    fn presort(&mut self, x: &FeatureMatrix, row_indices: &[u32]) {
+        let m = row_indices.len();
+        self.m = m;
+        self.round_rows.clear();
+        // exact sizes: growth by doubling would hold up to twice the memory
+        self.round_rows.reserve_exact(x.n_cols() * m);
+        for col in 0..x.n_cols() {
+            self.pairs.clear();
+            self.pairs
+                .extend(row_indices.iter().map(|&i| (x.get(i as usize, col), i)));
+            self.pairs
+                .sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            self.round_rows.extend(self.pairs.iter().map(|p| p.1));
+        }
+        self.goes_left.resize(x.n_rows(), false);
+    }
+
+    /// Lays out one tree's columns and its root node's rows.
+    fn start_tree(&mut self, x: &FeatureMatrix, features: &[usize], row_indices: &[u32]) {
+        let m = self.m;
+        self.seg_vals.clear();
+        self.seg_rows.clear();
+        self.seg_vals.reserve_exact(features.len() * m);
+        self.seg_rows.reserve_exact(features.len() * m);
+        for &f in features {
+            let rows = &self.round_rows[f * m..(f + 1) * m];
+            self.seg_rows.extend_from_slice(rows);
+            self.seg_vals
+                .extend(rows.iter().map(|&i| x.get(i as usize, f)));
+        }
+        self.indices.clear();
+        self.indices.extend_from_slice(row_indices);
+    }
+
+    /// Stable-partitions the node rows at `lo..hi` by `goes_left`, left
+    /// rows first, returning the left count; with `columns`, every
+    /// column's range too.
+    fn partition(&mut self, lo: usize, hi: usize, columns: bool) -> usize {
+        let goes_left = &self.goes_left;
+        let n_left = stable_partition(
+            &mut self.indices[lo..hi],
+            &mut self.scratch_rows,
+            |_, &i| goes_left[i as usize],
+        );
+        if columns {
+            let blocks = self
+                .seg_rows
+                .chunks_exact_mut(self.m)
+                .zip(self.seg_vals.chunks_exact_mut(self.m));
+            for (rows, vals) in blocks {
+                let rows = &mut rows[lo..hi];
+                // values first: their side is read off the unmoved rows
+                stable_partition(&mut vals[lo..hi], &mut self.scratch_vals, |pos, _| {
+                    goes_left[rows[pos] as usize]
+                });
+                stable_partition(rows, &mut self.scratch_rows, |_, &i| goes_left[i as usize]);
+            }
+        }
+        n_left
+    }
+}
+
+/// Moves the items for which `goes_left(position, item)` holds to the front
+/// of `items`, keeping the order on both sides, and returns their count.
+/// Each position is tested before anything is written to it.
+fn stable_partition<T: Copy>(
+    items: &mut [T],
+    scratch: &mut Vec<T>,
+    goes_left: impl Fn(usize, &T) -> bool,
+) -> usize {
+    scratch.clear();
+    let mut n_left = 0;
+    for pos in 0..items.len() {
+        let item = items[pos];
+        if goes_left(pos, &item) {
+            items[n_left] = item;
+            n_left += 1;
+        } else {
+            scratch.push(item);
+        }
+    }
+    items[n_left..].copy_from_slice(scratch);
+    n_left
+}
+
 struct TreeBuilder<'a> {
     x: &'a FeatureMatrix,
     grad: &'a [f64],
     hess: &'a [f64],
     params: &'a GradientBoostingParams,
-    features: Vec<usize>,
+    features: &'a [usize],
+    blocks: &'a mut ColumnBlocks,
     nodes: Vec<RegNode>,
-    importance: Vec<f64>,
+    importance: &'a mut [f64],
 }
 
 impl<'a> TreeBuilder<'a> {
@@ -128,32 +256,35 @@ impl<'a> TreeBuilder<'a> {
         -g / (h + self.params.lambda)
     }
 
-    fn build(&mut self, indices: Vec<usize>, depth: usize) -> usize {
-        let g_total: f64 = indices.iter().map(|&i| self.grad[i]).sum();
-        let h_total: f64 = indices.iter().map(|&i| self.hess[i]).sum();
-        if depth >= self.params.max_depth || indices.len() < 2 {
-            let weight = self.leaf_weight(g_total, h_total);
-            self.nodes.push(RegNode::Leaf { weight });
-            return self.nodes.len() - 1;
+    fn leaf(&mut self, g: f64, h: f64) -> usize {
+        let weight = self.leaf_weight(g, h);
+        self.nodes.push(RegNode::Leaf { weight });
+        self.nodes.len() - 1
+    }
+
+    /// Grows the subtree of the node whose rows sit at `lo..hi`.
+    fn build(&mut self, lo: usize, hi: usize, depth: usize) -> usize {
+        let indices = &self.blocks.indices[lo..hi];
+        let g_total: f64 = indices.iter().map(|&i| self.grad[i as usize]).sum();
+        let h_total: f64 = indices.iter().map(|&i| self.hess[i as usize]).sum();
+        if depth >= self.params.max_depth || hi - lo < 2 {
+            return self.leaf(g_total, h_total);
         }
         let parent_score = g_total * g_total / (h_total + self.params.lambda);
+        let m = self.blocks.m;
         let mut best: Option<(usize, f64, f64)> = None; // feature, threshold, gain
-        for &feature in &self.features {
-            let mut order = indices.clone();
-            order.sort_by(|&a, &b| {
-                self.x
-                    .get(a, feature)
-                    .partial_cmp(&self.x.get(b, feature))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
+        for (slot, &feature) in self.features.iter().enumerate() {
+            let base = slot * m;
+            let vals = &self.blocks.seg_vals[base + lo..base + hi];
+            let rows = &self.blocks.seg_rows[base + lo..base + hi];
             let mut g_left = 0.0;
             let mut h_left = 0.0;
-            for pos in 1..order.len() {
-                let moved = order[pos - 1];
+            for pos in 1..vals.len() {
+                let moved = rows[pos - 1] as usize;
                 g_left += self.grad[moved];
                 h_left += self.hess[moved];
-                let prev_val = self.x.get(order[pos - 1], feature);
-                let next_val = self.x.get(order[pos], feature);
+                let prev_val = vals[pos - 1];
+                let next_val = vals[pos];
                 if prev_val == next_val {
                     continue;
                 }
@@ -173,23 +304,25 @@ impl<'a> TreeBuilder<'a> {
             }
         }
         let Some((feature, threshold, gain)) = best else {
-            let weight = self.leaf_weight(g_total, h_total);
-            self.nodes.push(RegNode::Leaf { weight });
-            return self.nodes.len() - 1;
+            return self.leaf(g_total, h_total);
         };
-        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
-            .iter()
-            .partition(|&&i| self.x.get(i, feature) <= threshold);
-        if left_idx.is_empty() || right_idx.is_empty() {
-            let weight = self.leaf_weight(g_total, h_total);
-            self.nodes.push(RegNode::Leaf { weight });
-            return self.nodes.len() - 1;
+        let mut n_left = 0;
+        for &i in &self.blocks.indices[lo..hi] {
+            let left = self.x.get(i as usize, feature) <= threshold;
+            self.blocks.goes_left[i as usize] = left;
+            n_left += usize::from(left);
         }
+        if n_left == 0 || n_left == hi - lo {
+            return self.leaf(g_total, h_total);
+        }
+        // children at max depth are leaves: they only need their rows' sums
+        let children_split = depth + 1 < self.params.max_depth;
+        let mid = lo + self.blocks.partition(lo, hi, children_split);
         self.importance[feature] += gain;
         self.nodes.push(RegNode::Leaf { weight: 0.0 });
         let node_id = self.nodes.len() - 1;
-        let left = self.build(left_idx, depth + 1);
-        let right = self.build(right_idx, depth + 1);
+        let left = self.build(lo, mid, depth + 1);
+        let right = self.build(mid, hi, depth + 1);
         self.nodes[node_id] = RegNode::Split {
             feature,
             threshold,
@@ -354,6 +487,11 @@ impl Classifier for GradientBoosting {
             return Err(MlError::invalid("colsample_bytree", "must be in (0, 1]"));
         }
         let n = x.n_rows();
+        if u32::try_from(n).is_err() {
+            return Err(MlError::InvalidData(format!(
+                "{n} rows: the tree builder indexes rows with u32"
+            )));
+        }
         let k = n_classes(y);
         self.n_classes = k;
         self.n_features = x.n_cols();
@@ -372,12 +510,16 @@ impl Classifier for GradientBoosting {
         let mut rng = ChaCha8Rng::seed_from_u64(self.params.seed);
         // raw scores per sample per class
         let mut scores: Vec<Vec<f64>> = vec![self.base_score.clone(); n];
+        let mut blocks = ColumnBlocks::default();
+        let mut grad = vec![0.0f64; n];
+        let mut hess = vec![0.0f64; n];
+        let mut importance = vec![0.0f64; x.n_cols()];
 
         for _round in 0..self.params.n_estimators {
             // softmax probabilities
             let probs: Vec<Vec<f64>> = scores.iter().map(|s| softmax(s)).collect();
             // row subsample
-            let mut row_indices: Vec<usize> = (0..n).collect();
+            let mut row_indices: Vec<u32> = (0..n as u32).collect();
             if self.params.subsample < 1.0 {
                 row_indices.shuffle(&mut rng);
                 let keep = ((n as f64 * self.params.subsample).round() as usize)
@@ -385,11 +527,10 @@ impl Classifier for GradientBoosting {
                     .min(n);
                 row_indices.truncate(keep);
             }
+            blocks.presort(x, &row_indices);
             let mut round_trees = Vec::with_capacity(k);
             for class in 0..k {
                 // gradients / hessians of softmax cross-entropy
-                let mut grad = vec![0.0f64; n];
-                let mut hess = vec![0.0f64; n];
                 for i in 0..n {
                     let p = probs[i][class];
                     let target = if y[i] == class { 1.0 } else { 0.0 };
@@ -406,22 +547,25 @@ impl Classifier for GradientBoosting {
                         .min(x.n_cols());
                     features.truncate(keep);
                 }
+                blocks.start_tree(x, &features, &row_indices);
+                importance.fill(0.0);
                 let mut builder = TreeBuilder {
                     x,
                     grad: &grad,
                     hess: &hess,
                     params: &self.params,
-                    features,
+                    features: &features,
+                    blocks: &mut blocks,
                     nodes: Vec::new(),
-                    importance: vec![0.0; x.n_cols()],
+                    importance: &mut importance,
                 };
-                builder.build(row_indices.clone(), 0);
-                for (j, v) in builder.importance.iter().enumerate() {
-                    self.feature_importance[j] += v;
-                }
+                builder.build(0, row_indices.len(), 0);
                 let tree = RegressionTree {
                     nodes: builder.nodes,
                 };
+                for (total, v) in self.feature_importance.iter_mut().zip(&importance) {
+                    *total += v;
+                }
                 // update scores for all rows; row index i addresses both the
                 // score matrix and the feature matrix, as in the boosting
                 // update equations

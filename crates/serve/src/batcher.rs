@@ -76,6 +76,9 @@ pub enum ClassifyError {
     Saturated,
     /// The batcher is shutting down (maps to 503).
     ShuttingDown,
+    /// One request's input cannot be classified, e.g. a series whose
+    /// features overflow to a non-finite value (maps to 400).
+    Input(String),
     /// The underlying model failed (maps to 500).
     Model(String),
 }
@@ -85,6 +88,7 @@ impl std::fmt::Display for ClassifyError {
         match self {
             ClassifyError::Saturated => write!(f, "classify queue is full"),
             ClassifyError::ShuttingDown => write!(f, "server is shutting down"),
+            ClassifyError::Input(e) => write!(f, "invalid classify input: {e}"),
             ClassifyError::Model(e) => write!(f, "model error: {e}"),
         }
     }
@@ -509,7 +513,7 @@ fn run_batch(shared: &Shared, batch: Vec<Job>, seen: Instant) {
     match outcome {
         Ok(Ok(outputs)) => {
             for (job, output) in batch.into_iter().zip(outputs) {
-                (job.on_done)(Ok(output));
+                (job.on_done)(output);
             }
         }
         Ok(Err(error)) => {
@@ -530,11 +534,14 @@ fn run_batch(shared: &Shared, batch: Vec<Job>, seen: Instant) {
 /// workspaces) plus one padded/scaled model pass; probabilities are computed
 /// on the same transformed matrix only when some job asked for them. All
 /// jobs share one model (grouped by [`collect_batch`]).
+///
+/// When the batch pass fails, each job is predicted on its own, so only
+/// the jobs that cause the failure get an error.
 fn compute_batch(
     shared: &Shared,
     batch: &[Job],
     batch_size: usize,
-) -> Result<Vec<ClassifyOutput>, ClassifyError> {
+) -> Result<Vec<Result<ClassifyOutput, ClassifyError>>, ClassifyError> {
     let Some(front) = batch.first() else {
         return Ok(Vec::new());
     };
@@ -558,61 +565,104 @@ fn compute_batch(
 
     let want_any_proba = batch.iter().any(|j| j.want_proba);
     let predict_started = Instant::now();
-    let (predictions, probabilities) = if want_any_proba {
-        let (p, proba) = model
-            .predict_with_proba_from_feature_rows(rows)
-            .map_err(|e| ClassifyError::Model(e.to_string()))?;
-        (p, Some(proba))
-    } else {
-        let p = model
-            .predict_from_feature_rows(rows)
-            .map_err(|e| ClassifyError::Model(e.to_string()))?;
-        (p, None)
-    };
+    let batch_pass = model.predict_feature_rows(&rows, want_any_proba).ok();
+    if let Some((predictions, _)) = &batch_pass {
+        if predictions.len() != batch_size {
+            return Err(ClassifyError::Model(format!(
+                "model returned {} predictions for {batch_size} series",
+                predictions.len()
+            )));
+        }
+    }
+    let mut outputs = Vec::with_capacity(batch.len());
+    let mut offset = 0usize;
+    for job in batch {
+        let range = offset..offset + job.series.len();
+        offset = range.end;
+        outputs.push(match &batch_pass {
+            Some((predictions, probabilities)) => {
+                let job_probabilities = probabilities.as_ref().map(|p| p.get(range.clone()));
+                match (predictions.get(range.clone()), job_probabilities) {
+                    (Some(p), None) => Ok(job_output(job, p, None, batch_size)),
+                    (Some(p), Some(Some(proba))) => Ok(job_output(job, p, Some(proba), batch_size)),
+                    _ => Err(slice_error(&range)),
+                }
+            }
+            None => match rows.get(range.clone()) {
+                Some(job_rows) => predict_job(model, job, job_rows, batch_size),
+                None => Err(slice_error(&range)),
+            },
+        });
+    }
     // one model pass serves the whole batch; every traced request in it
-    // waited on that same pass, so each gets the full predict duration
+    // waited on that same pass (and on the per-job passes after a failed
+    // one), so each gets the full predict duration
     let predict_elapsed = predict_started.elapsed();
     for job in batch {
         if let Some(trace) = &job.trace {
             trace.record(Stage::Predict, predict_elapsed);
         }
     }
-    if predictions.len() != batch_size {
-        return Err(ClassifyError::Model(format!(
-            "model returned {} predictions for {batch_size} series",
-            predictions.len()
-        )));
-    }
-
-    let mut outputs = Vec::with_capacity(batch.len());
-    let mut offset = 0usize;
-    for job in batch {
-        let n = job.series.len();
-        let range_error = || {
-            ClassifyError::Model(format!(
-                "result slice {offset}..{} out of range",
-                offset + n
-            ))
-        };
-        let job_predictions = predictions
-            .get(offset..offset + n)
-            .ok_or_else(range_error)?;
-        let job_probabilities = if job.want_proba {
-            match &probabilities {
-                Some(p) => Some(p.get(offset..offset + n).ok_or_else(range_error)?.to_vec()),
-                None => None,
-            }
-        } else {
-            None
-        };
-        outputs.push(ClassifyOutput {
-            predictions: job_predictions.to_vec(),
-            probabilities: job_probabilities,
-            batch_size,
-        });
-        offset += n;
-    }
     Ok(outputs)
+}
+
+/// One job predicted on its own rows, after its batch's pass failed. A
+/// non-finite feature, which fails the scaler, is the request's fault: a
+/// 400 that names the feature.
+fn predict_job(
+    model: &MvgClassifier,
+    job: &Job,
+    rows: &[Vec<f64>],
+    batch_size: usize,
+) -> Result<ClassifyOutput, ClassifyError> {
+    match model.predict_feature_rows(rows, job.want_proba) {
+        Ok((predictions, probabilities)) => Ok(job_output(
+            job,
+            &predictions,
+            probabilities.as_deref(),
+            batch_size,
+        )),
+        Err(e) => Err(non_finite_input(model, rows).unwrap_or(ClassifyError::Model(e.to_string()))),
+    }
+}
+
+fn slice_error(range: &std::ops::Range<usize>) -> ClassifyError {
+    ClassifyError::Model(format!(
+        "result slice {}..{} out of range",
+        range.start, range.end
+    ))
+}
+
+/// One job's output from its slice of the predictions and, when they were
+/// computed, of the probabilities.
+fn job_output(
+    job: &Job,
+    predictions: &[usize],
+    probabilities: Option<&[Vec<f64>]>,
+    batch_size: usize,
+) -> ClassifyOutput {
+    ClassifyOutput {
+        predictions: predictions.to_vec(),
+        probabilities: probabilities.filter(|_| job.want_proba).map(<[_]>::to_vec),
+        batch_size,
+    }
+}
+
+/// The first non-finite feature (within the model's width) of a job's
+/// rows, as an input error naming it.
+fn non_finite_input(model: &MvgClassifier, rows: &[Vec<f64>]) -> Option<ClassifyError> {
+    let names = model.feature_names();
+    rows.iter().enumerate().find_map(|(series, row)| {
+        let (col, value) = row
+            .iter()
+            .take(names.len())
+            .enumerate()
+            .find(|(_, v)| !v.is_finite())?;
+        let name = names.get(col).map(String::as_str).unwrap_or("?");
+        Some(ClassifyError::Input(format!(
+            "classify input: series {series} has non-finite value {value} in feature `{name}`"
+        )))
+    })
 }
 
 #[cfg(test)]

@@ -558,6 +558,7 @@ fn classify_response(
         }
         Err(ClassifyError::Saturated) => Response::error(429, "classify queue is full"),
         Err(ClassifyError::ShuttingDown) => Response::error(503, "server is shutting down"),
+        Err(ClassifyError::Input(e)) => Response::error(400, &e),
         Err(ClassifyError::Model(e)) => Response::error(500, &e),
     }
 }
@@ -655,6 +656,7 @@ fn classify(request: &Request, state: &Arc<ServerState>, name: &str, ctx: AsyncC
         Err(e @ ClassifyError::ShuttingDown) => {
             Routed::Immediate(Response::error(503, &e.to_string()))
         }
+        Err(ClassifyError::Input(e)) => Routed::Immediate(Response::error(400, &e)),
         Err(ClassifyError::Model(e)) => Routed::Immediate(Response::error(500, &e)),
     }
 }

@@ -748,3 +748,104 @@ fn invalid_requests_are_rejected_not_fatal() {
     assert_eq!(status, 200);
     server_handle.join().expect("server thread panicked");
 }
+
+#[test]
+fn one_non_finite_series_fails_only_its_own_request() {
+    use std::io::Write;
+    isolate_dataset_cache();
+    // a long coalescing window, so the three pipelined requests below
+    // share one batch
+    let server = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        n_threads: 2,
+        batch: BatchConfig {
+            max_batch: 16,
+            max_wait: Duration::from_millis(300),
+            queue_depth: 128,
+        },
+        archive: archive_options(),
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let addr = server.local_addr().unwrap().to_string();
+    let server_handle = std::thread::spawn(move || server.run().expect("server run"));
+    let mut admin = Client::connect(&addr);
+    let fit = Json::obj(vec![
+        ("dataset", Json::Str(DATASET.into())),
+        ("config", Json::Str("wide".into())),
+        ("seed", Json::Num(SEED as f64)),
+    ]);
+    let (status, info) = admin.call("POST", "/models/w/fit", Some(&fit));
+    assert_eq!(status, 200, "fit failed: {info}");
+
+    let (train, test) =
+        tsg_datasets::cache::generate_by_name_scaled_cached(DATASET, archive_options()).unwrap();
+    let mut direct = MvgClassifier::new(config_named("wide", SEED, 1).unwrap());
+    direct.fit(&train).unwrap();
+    let good: Vec<tsg_ts::TimeSeries> = test.series().iter().take(2).cloned().collect();
+    let expected = direct
+        .predict(&tsg_ts::Dataset::from_series("good", good.clone()))
+        .unwrap();
+
+    // its statistical features overflow to infinity
+    let huge: Vec<f64> = (0..96)
+        .map(|t| if t % 2 == 0 { 3e200 } else { -3e200 })
+        .collect();
+    let bodies = [
+        Json::obj(vec![("series", Json::Arr(vec![series_json(&good[0])]))]),
+        Json::obj(vec![("series", Json::Arr(vec![Json::nums(huge)]))]),
+        Json::obj(vec![("series", Json::Arr(vec![series_json(&good[1])]))]),
+    ];
+    let mut wire = Vec::new();
+    for body in &bodies {
+        let body = body.write();
+        wire.extend_from_slice(
+            format!(
+                "POST /models/w/classify HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        );
+    }
+    let mut client = Client::connect(&addr);
+    client.stream.write_all(&wire).expect("pipelined write");
+    let mut replies = Vec::new();
+    for _ in &bodies {
+        let (status, _, body) = read_with_connection(&mut client);
+        replies.push((
+            status,
+            Json::parse(&String::from_utf8_lossy(&body)).unwrap(),
+        ));
+    }
+
+    let (status, bad) = &replies[1];
+    assert_eq!(*status, 400, "{bad}");
+    let message = bad
+        .get("error")
+        .and_then(|e| e.as_str())
+        .unwrap_or_default();
+    assert!(message.contains("classify input"), "{message}");
+    assert!(
+        direct
+            .feature_names()
+            .iter()
+            .any(|name| message.contains(&format!("`{name}`"))),
+        "the error names no feature: {message}"
+    );
+    for (i, reply) in [&replies[0], &replies[2]].into_iter().enumerate() {
+        let (status, body) = reply;
+        assert_eq!(*status, 200, "{body}");
+        assert_eq!(
+            body.get("batch_size").unwrap().as_usize(),
+            Some(3),
+            "the requests were not batched together: {body}"
+        );
+        let labels = body.get("predictions").unwrap().as_array().unwrap();
+        assert_eq!(labels.len(), 1);
+        assert_eq!(labels[0].as_usize(), Some(expected[i]), "{body}");
+    }
+
+    let (status, _) = admin.call("POST", "/shutdown", None);
+    assert_eq!(status, 200);
+    server_handle.join().expect("server thread panicked");
+}

@@ -424,3 +424,76 @@ fn end_to_end_pipeline_is_bit_identical_across_thread_counts() {
         );
     }
 }
+
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+    hash
+}
+
+fn fnv1a_f64s<'a>(values: impl IntoIterator<Item = &'a f64>) -> u64 {
+    fnv1a(values.into_iter().flat_map(|v| v.to_bits().to_le_bytes()))
+}
+
+#[test]
+fn wide_prune_refit_matches_the_pinned_bits() {
+    // The serving fit path: the `wide` preset, pruned to its 24 most
+    // important features and refit. The FNV-1a constants were captured
+    // with the original booster, which re-sorted every node's rows for
+    // every feature, before the presorted, node-partitioned split search
+    // replaced it; every bit of the models must survive that rewrite.
+    // `(dataset, wide snapshot, refit snapshot, refit predict_proba bits,
+    // refit importances)`
+    const PINS: [(&str, u64, u64, u64, u64); 2] = [
+        (
+            "ECG5000",
+            0x82e2_b191_2118_22a3,
+            0xd628_3886_5e39_4ef6,
+            0x5914_6e9d_56c3_d25e,
+            0x3dc7_941f_6d7e_236f,
+        ),
+        (
+            "FordA",
+            0x8075_9cd0_57d6_155e,
+            0x90b5_469e_ca0a_58e7,
+            0x804c_dc28_f53c_639d,
+            0xb7ea_210b_10ea_d5f7,
+        ),
+    ];
+    let seed = 101;
+    let mut mismatches = Vec::new();
+    for (dataset, wide_pin, refit_pin, proba_pin, importance_pin) in PINS {
+        let options = ArchiveOptions {
+            max_train: 40,
+            max_test: 20,
+            max_length: 256,
+            seed,
+        };
+        let pair = DatasetSource::synthetic(options)
+            .resolve(dataset)
+            .expect("catalogue dataset");
+        let config = tsc_mvg::serve::config_named("wide", seed, 1).unwrap();
+        let mut wide = MvgClassifier::new(config);
+        wide.fit(&pair.train).unwrap();
+        let mut refit = MvgClassifier::new(wide.pruned_config(24).unwrap());
+        refit.fit(&pair.train).unwrap();
+        let proba = refit.predict_proba(&pair.test).unwrap();
+        let importances = refit.feature_importances();
+        let got = (
+            fnv1a(wide.snapshot_bytes().unwrap()),
+            fnv1a(refit.snapshot_bytes().unwrap()),
+            fnv1a_f64s(proba.iter().flatten()),
+            fnv1a_f64s(importances.iter().map(|f| &f.importance)),
+        );
+        if got != (wide_pin, refit_pin, proba_pin, importance_pin) {
+            mismatches.push(format!(
+                "{dataset}: ({:#018x}, {:#018x}, {:#018x}, {:#018x})",
+                got.0, got.1, got.2, got.3
+            ));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
