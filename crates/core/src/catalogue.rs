@@ -231,68 +231,90 @@ impl StatisticalConfig {
             .collect()
     }
 
-    /// Computes the full statistical layer for one series.
-    pub fn compute(&self, values: &[f64]) -> Vec<f64> {
-        if !self.enabled {
-            return Vec::new();
+    /// The position of a [`StatisticalConfig::feature_names`] entry within
+    /// the layer, parsed from the family name tables without allocating.
+    /// Numbered names accept only the canonical decimal spelling.
+    pub(crate) fn feature_index(&self, name: &str) -> Option<usize> {
+        let name = name.strip_prefix("stat ").filter(|_| self.enabled)?;
+        let mut offset = 0;
+        for family in StatFamily::ALL {
+            let index = match family.names(self) {
+                StatNames::Fixed(names) => names.iter().position(|n| *n == name),
+                StatNames::Numbered(prefix, len) => name
+                    .strip_prefix(prefix)
+                    .and_then(parse_index)
+                    .filter(|k| (1..=len).contains(k))
+                    .map(|k| k - 1),
+            };
+            if let Some(index) = index {
+                return Some(offset + index);
+            }
+            offset += stat_family_len(family, self);
         }
-        let mut out = Vec::with_capacity(self.n_features());
-        for f in StatFamily::ALL {
-            out.extend(compute_stat_family(f, self, values));
-        }
-        out
+        None
     }
+}
+
+/// The column names of a statistical family after the `stat ` prefix: a
+/// fixed list, or a prefix numbered `1..=len`. [`stat_family_names`] writes
+/// from these tables and [`StatisticalConfig::feature_index`] reads them.
+enum StatNames {
+    Fixed(&'static [&'static str]),
+    Numbered(&'static str, usize),
+}
+
+impl StatFamily {
+    fn names(self, config: &StatisticalConfig) -> StatNames {
+        match self {
+            StatFamily::Dist => StatNames::Fixed(&[
+                "mean",
+                "std",
+                "min",
+                "max",
+                "median",
+                "iqr",
+                "q05",
+                "q25",
+                "q75",
+                "q95",
+                "skewness",
+                "kurtosis",
+                "energy",
+                "abs_mean",
+                "above_mean",
+                "below_mean",
+            ]),
+            StatFamily::Trend => StatNames::Fixed(&["trend_slope", "trend_intercept"]),
+            StatFamily::Peaks => StatNames::Fixed(&["peak_count", "valley_count"]),
+            StatFamily::Acf => StatNames::Numbered("acf_", config.acf_lags),
+            StatFamily::Fft => StatNames::Numbered("fft_mag_", config.fft_coefficients),
+        }
+    }
+}
+
+/// Parses a canonical decimal index: ASCII digits with no sign and no
+/// leading zero, as `format!("{}", n)` writes it.
+pub(crate) fn parse_index(digits: &str) -> Option<usize> {
+    let canonical =
+        digits.bytes().all(|b| b.is_ascii_digit()) && (digits == "0" || !digits.starts_with('0'));
+    digits.parse().ok().filter(|_| canonical)
 }
 
 /// Number of features a statistical family contributes under `config`.
 pub fn stat_family_len(family: StatFamily, config: &StatisticalConfig) -> usize {
-    match family {
-        StatFamily::Dist => 16,
-        StatFamily::Trend => 2,
-        StatFamily::Peaks => 2,
-        StatFamily::Acf => config.acf_lags,
-        StatFamily::Fft => config.fft_coefficients,
+    match family.names(config) {
+        StatNames::Fixed(names) => names.len(),
+        StatNames::Numbered(_, len) => len,
     }
 }
 
 /// Names a statistical family contributes under `config`, in order.
 pub fn stat_family_names(family: StatFamily, config: &StatisticalConfig) -> Vec<String> {
-    match family {
-        StatFamily::Dist => [
-            "mean",
-            "std",
-            "min",
-            "max",
-            "median",
-            "iqr",
-            "q05",
-            "q25",
-            "q75",
-            "q95",
-            "skewness",
-            "kurtosis",
-            "energy",
-            "abs_mean",
-            "above_mean",
-            "below_mean",
-        ]
-        .iter()
-        .map(|n| format!("stat {n}"))
-        .collect(),
-        StatFamily::Trend => vec![
-            "stat trend_slope".to_string(),
-            "stat trend_intercept".to_string(),
-        ],
-        StatFamily::Peaks => vec![
-            "stat peak_count".to_string(),
-            "stat valley_count".to_string(),
-        ],
-        StatFamily::Acf => (1..=config.acf_lags)
-            .map(|lag| format!("stat acf_{lag}"))
-            .collect(),
-        StatFamily::Fft => (1..=config.fft_coefficients)
-            .map(|k| format!("stat fft_mag_{k}"))
-            .collect(),
+    match family.names(config) {
+        StatNames::Fixed(names) => names.iter().map(|n| format!("stat {n}")).collect(),
+        StatNames::Numbered(prefix, len) => {
+            (1..=len).map(|k| format!("stat {prefix}{k}")).collect()
+        }
     }
 }
 
@@ -547,7 +569,10 @@ mod tests {
     fn statistical_layer_names_match_values() {
         let cfg = StatisticalConfig::standard();
         let values = wave(128);
-        let feats = cfg.compute(&values);
+        let feats: Vec<f64> = StatFamily::ALL
+            .iter()
+            .flat_map(|&f| compute_stat_family(f, &cfg, &values))
+            .collect();
         let names = cfg.feature_names();
         assert_eq!(feats.len(), names.len());
         assert_eq!(feats.len(), cfg.n_features());
@@ -561,7 +586,40 @@ mod tests {
         assert!(!cfg.enabled);
         assert_eq!(cfg.n_features(), 0);
         assert!(cfg.feature_names().is_empty());
-        assert!(cfg.compute(&wave(64)).is_empty());
+        assert_eq!(cfg.feature_index("stat mean"), None);
+    }
+
+    #[test]
+    fn statistical_names_parse_back_to_their_position() {
+        let cfg = StatisticalConfig {
+            enabled: true,
+            acf_lags: 12,
+            fft_coefficients: 3,
+        };
+        for (i, name) in cfg.feature_names().iter().enumerate() {
+            assert_eq!(cfg.feature_index(name), Some(i), "{name}");
+        }
+        for bad in [
+            "stat acf_0",
+            "stat acf_13",
+            "stat acf_01",
+            "stat acf_+1",
+            "stat fft_mag_4",
+            "stat bogus",
+            "mean",
+        ] {
+            assert_eq!(cfg.feature_index(bad), None, "{bad}");
+        }
+    }
+
+    #[test]
+    fn only_canonical_decimal_indices_parse() {
+        assert_eq!(parse_index("0"), Some(0));
+        assert_eq!(parse_index("140"), Some(140));
+        for bad in ["", "01", "+1", "-1", " 1", "1 ", "1e2", "٣"] {
+            assert_eq!(parse_index(bad), None, "{bad:?}");
+        }
+        assert_eq!(parse_index("99999999999999999999999"), None);
     }
 
     #[test]

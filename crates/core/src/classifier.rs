@@ -319,7 +319,8 @@ impl MvgClassifier {
     /// Pads/truncates raw (unscaled) feature rows to the training width and
     /// applies the fitted scaler. Rows must come from this classifier's
     /// [`FeatureConfig`](crate::FeatureConfig) (e.g. via
-    /// [`crate::extract_series_features_with`]).
+    /// [`crate::extract_series_features_traced`], whose one extraction body
+    /// gathers a pruned row from the wide one).
     fn transform_rows(&self, rows: &[Vec<f64>]) -> crate::Result<FeatureMatrix> {
         let scaler = self.scaler.as_ref().ok_or(MlError::NotFitted)?;
         // pad/truncate to the training width (different-length test series)

@@ -12,23 +12,25 @@
 //! [`FeatureMatrix`] (in parallel), producing the input of the generic
 //! classifiers.
 //!
-//! With a selection attached the extractor computes **only what the subset
-//! needs**: graphs whose features were all pruned away are never built,
-//! motif censuses run only where a motif probability survived, and the
-//! statistical families are computed family-by-family on demand. Pruned
-//! extraction is exactly a column selection of wide extraction, bit-for-bit
-//! (pinned by `tests/determinism.rs`).
+//! One body serves both. It resolves every selected name to its position
+//! in the wide vector at the series' length, computes only the graphs,
+//! motif censuses and statistical families those positions touch (all of
+//! them without a selection), fills a wide buffer in the order wide
+//! extraction computes it, and returns that buffer or gathers the selected
+//! columns from it. Pruned extraction is therefore a column gather of wide
+//! extraction by construction, bit for bit (pinned by
+//! `tests/determinism.rs`).
 
 use crate::catalogue::{
-    compute_stat_family, stat_family_names, FeatureSelection, StatFamily, StatisticalConfig,
+    compute_stat_family, parse_index, stat_family_len, FeatureSelection, StatFamily,
+    StatisticalConfig,
 };
-use crate::graph_features::{block_len, graph_feature_names};
-use crate::motif_groups::motif_probability_distribution;
+use crate::graph_features::{block_len, graph_feature_index, graph_feature_names};
+use crate::motif_groups::{motif_probability_distribution, N_MOTIF_FEATURES};
 use crate::parallel::parallel_map;
 use crate::representation::{scale_values_with_sink, ScaleMode};
 use crate::trace::{ExtractStage, NoopTraceSink, TraceSink};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 use tsg_graph::motifs::{count_motifs, count_motifs_with, MotifWorkspace};
 use tsg_graph::stats::GraphStatistics;
@@ -235,38 +237,63 @@ impl FeatureConfig {
 
     /// Whether `name` denotes a feature this configuration's catalogue can
     /// produce for *some* series length — the membership test behind
-    /// [`FeatureSelection::validate`].
+    /// [`FeatureSelection::validate`]. Only the exact spellings
+    /// [`FeatureConfig::feature_names_for_length`] writes are accepted.
     pub fn is_known_feature_name(&self, name: &str) -> bool {
-        if self.statistical.enabled && self.statistical.feature_names().iter().any(|n| n == name) {
-            return true;
+        match self.parse_feature_name(name) {
+            None => false,
+            Some(FeatureColumn::Stat(_)) => true,
+            // a series of length L admits at most log2(L) halvings, and T0
+            // is reachable under every mode (AMVG falls back to it)
+            Some(FeatureColumn::Graph { scale, .. }) => {
+                scale < 64
+                    && scale <= self.multiscale.max_scales
+                    && (self.scale_mode != ScaleMode::Uniscale || scale == 0)
+            }
         }
-        let Some(rest) = name.strip_prefix('T') else {
-            return false;
-        };
-        let Some((scale_str, rest)) = rest.split_once(' ') else {
-            return false;
-        };
-        let Ok(scale) = scale_str.parse::<usize>() else {
-            return false;
-        };
-        let Some((kind_str, block_name)) = rest.split_once(' ') else {
-            return false;
-        };
-        if !self.kinds.iter().any(|k| k.short_name() == kind_str) {
-            return false;
-        }
-        if !graph_feature_names(self.include_other_stats)
-            .iter()
-            .any(|n| n == block_name)
-        {
-            return false;
-        }
-        // a series of length L admits at most log2(L) halvings, and T0 is
-        // reachable under every mode (AMVG falls back to it)
-        scale < 64
-            && scale <= self.multiscale.max_scales
-            && (self.scale_mode != ScaleMode::Uniscale || scale == 0)
     }
+
+    /// The one name parser behind validation and extraction: reads
+    /// `T{scale} {kind} {block name}` and `stat {name}` against the name
+    /// tables the catalogue writes from, without allocating.
+    fn parse_feature_name(&self, name: &str) -> Option<FeatureColumn> {
+        if let Some(index) = self.statistical.feature_index(name) {
+            return Some(FeatureColumn::Stat(index));
+        }
+        let (scale, rest) = name.strip_prefix('T')?.split_once(' ')?;
+        let (kind, entry) = rest.split_once(' ')?;
+        Some(FeatureColumn::Graph {
+            scale: parse_index(scale)?,
+            kind: self.kinds.iter().position(|k| k.short_name() == kind)?,
+            entry: graph_feature_index(entry, self.include_other_stats)?,
+        })
+    }
+
+    /// The position of `name` in the wide vector whose graph blocks cover
+    /// `scales` (the scale indices at one series length); `None` for an
+    /// unknown name or a scale that length does not produce.
+    fn wide_position(&self, name: &str, scales: &[usize]) -> Option<usize> {
+        let block = block_len(self.include_other_stats);
+        Some(match self.parse_feature_name(name)? {
+            FeatureColumn::Graph { scale, kind, entry } => {
+                let slot = scales.iter().position(|&s| s == scale)?;
+                (slot * self.kinds.len() + kind) * block + entry
+            }
+            FeatureColumn::Stat(index) => scales.len() * self.kinds.len() * block + index,
+        })
+    }
+}
+
+/// Where a wide feature name points, independent of the series length.
+enum FeatureColumn {
+    /// Entry `entry` of the block of `kinds[kind]` at scale `scale`.
+    Graph {
+        scale: usize,
+        kind: usize,
+        entry: usize,
+    },
+    /// Position within the statistical layer.
+    Stat(usize),
 }
 
 /// Extracts the feature vector of one series under `config` (Algorithm 1),
@@ -280,22 +307,12 @@ pub fn extract_series_features(series: &TimeSeries, config: &FeatureConfig) -> V
 
 /// [`extract_series_features`] with a caller-held motif workspace (the
 /// scratch memory of the hottest kernel; see
-/// [`tsg_graph::motifs::MotifWorkspace`]).
-pub fn extract_series_features_with(
-    series: &TimeSeries,
-    config: &FeatureConfig,
-    workspace: &mut MotifWorkspace,
-) -> Vec<f64> {
-    extract_features_impl(series, config, &mut NoopTraceSink, |graph, _| {
-        count_motifs_with(graph, workspace)
-    })
-}
-
-/// [`extract_series_features_with`] with a [`TraceSink`] observing the
+/// [`tsg_graph::motifs::MotifWorkspace`]) and a [`TraceSink`] observing the
 /// `Scale`/`GraphBuild`/`MotifCount`/`Statistical` sub-stages — the seam
 /// the serving layer uses for per-request latency attribution. The sink
-/// only receives callbacks (this crate stays clock-free); the returned
-/// features are bit-identical to the untraced entry points.
+/// only receives callbacks (this crate stays clock-free); pass
+/// [`NoopTraceSink`] to trace nothing. The returned features are
+/// bit-identical to [`extract_series_features`].
 pub fn extract_series_features_traced<S: TraceSink>(
     series: &TimeSeries,
     config: &FeatureConfig,
@@ -310,11 +327,17 @@ pub fn extract_series_features_traced<S: TraceSink>(
     })
 }
 
+/// The one extraction body. Every graph block of the scale cascade
+/// (scale-then-kind order) and then the statistical layer is computed into
+/// a wide buffer, skipping the graphs, censuses and families no selected
+/// column reads; the result is the buffer itself, or the selected columns
+/// gathered from it, with `0.0` for a name whose scale this series length
+/// does not produce.
 fn extract_features_impl<S: TraceSink>(
     series: &TimeSeries,
     config: &FeatureConfig,
     sink: &mut S,
-    census: impl FnMut(&Graph, &mut S) -> MotifCounts,
+    mut census: impl FnMut(&Graph, &mut S) -> MotifCounts,
 ) -> Vec<f64> {
     let prepared;
     let series = if config.detrend {
@@ -323,187 +346,68 @@ fn extract_features_impl<S: TraceSink>(
     } else {
         series
     };
-    match &config.selection {
-        None => extract_wide(series, config, sink, census),
-        Some(selection) => extract_selected(series, config, selection, sink, census),
-    }
-}
-
-/// The full catalogue: every graph block in scale-then-kind order, then the
-/// statistical layer.
-fn extract_wide<S: TraceSink>(
-    series: &TimeSeries,
-    config: &FeatureConfig,
-    sink: &mut S,
-    mut census: impl FnMut(&Graph, &mut S) -> MotifCounts,
-) -> Vec<f64> {
     let scale_values = scale_values_with_sink(series, config.scale_mode, config.multiscale, sink);
-    let mut features = Vec::with_capacity(
-        scale_values.len() * config.kinds.len() * block_len(config.include_other_stats)
-            + config.statistical.n_features(),
-    );
-    for (_, values) in &scale_values {
-        for &kind in &config.kinds {
-            sink.enter(ExtractStage::GraphBuild);
-            let graph = kind.build(values);
-            sink.exit(ExtractStage::GraphBuild);
-            let counts = census(&graph, sink);
-            features.extend(motif_probability_distribution(&counts));
-            if config.include_other_stats {
-                features.extend(GraphStatistics::compute(&graph).to_features());
-            }
-        }
+    let scales: Vec<usize> = scale_values.iter().map(|(scale, _)| *scale).collect();
+    let block = block_len(config.include_other_stats);
+    let n_graph = scales.len() * config.kinds.len() * block;
+    let selected: Option<Vec<Option<usize>>> = config.selection.as_ref().map(|selection| {
+        let names = selection.names();
+        names
+            .iter()
+            .map(|n| config.wide_position(n, &scales))
+            .collect()
+    });
+    let mut needed = vec![selected.is_none(); n_graph + config.statistical.n_features()];
+    for &position in selected.iter().flatten().flatten() {
+        needed[position] = true;
     }
-    if config.statistical.enabled {
-        sink.enter(ExtractStage::Statistical);
-        features.extend(config.statistical.compute(series.values()));
-        sink.exit(ExtractStage::Statistical);
-    }
-    features
-}
 
-/// Where one selected column's value comes from.
-#[derive(Clone, Copy)]
-enum ColumnSpec {
-    /// Motif probability `idx` of the graph at `slot` (scale-major, then
-    /// kind).
-    Motif { slot: usize, idx: usize },
-    /// Scalar graph statistic `idx` of the graph at `slot`.
-    GraphStat { slot: usize, idx: usize },
-    /// Feature `idx` of one per-series statistical family.
-    Stat { family: StatFamily, idx: usize },
-}
-
-/// Pruned extraction: compute only the graphs, censuses and statistical
-/// families the selection needs, then emit columns in selection order.
-/// Selected names that do not exist at this series length (e.g. a scale the
-/// series is too short to produce) yield `0.0`, mirroring the zero-padding
-/// of the wide path.
-fn extract_selected<S: TraceSink>(
-    series: &TimeSeries,
-    config: &FeatureConfig,
-    selection: &FeatureSelection,
-    sink: &mut S,
-    mut census: impl FnMut(&Graph, &mut S) -> MotifCounts,
-) -> Vec<f64> {
-    let scales = config.scale_indices_for_length(series.len());
-    let n_kinds = config.kinds.len();
-    let block_names = graph_feature_names(config.include_other_stats);
-
-    // the wide layout of this series length, as name -> column source
-    let mut spec_of: BTreeMap<String, ColumnSpec> = BTreeMap::new();
-    for (si, &scale) in scales.iter().enumerate() {
-        for (ki, kind) in config.kinds.iter().enumerate() {
-            let slot = si * n_kinds + ki;
-            for (bi, block_name) in block_names.iter().enumerate() {
-                let name = format!("T{} {} {}", scale, kind.short_name(), block_name);
-                let spec = if bi < block_len(false) {
-                    ColumnSpec::Motif { slot, idx: bi }
-                } else {
-                    ColumnSpec::GraphStat {
-                        slot,
-                        idx: bi - block_len(false),
-                    }
-                };
-                spec_of.insert(name, spec);
-            }
-        }
-    }
-    if config.statistical.enabled {
-        for family in StatFamily::ALL {
-            for (idx, name) in stat_family_names(family, &config.statistical)
-                .into_iter()
-                .enumerate()
-            {
-                spec_of.insert(name, ColumnSpec::Stat { family, idx });
-            }
-        }
-    }
-    let columns: Vec<Option<ColumnSpec>> = selection
-        .names()
+    let mut wide = vec![0.0; needed.len()];
+    let (graph_out, stat_out) = wide.split_at_mut(n_graph);
+    let (graph_needed, stat_needed) = needed.split_at(n_graph);
+    let graphs = scale_values
         .iter()
-        .map(|name| spec_of.get(name).copied())
-        .collect();
-
-    // which graphs (and which halves of their blocks) the columns touch
-    let n_slots = scales.len() * n_kinds;
-    let mut need_motifs = vec![false; n_slots];
-    let mut need_stats = vec![false; n_slots];
-    let mut needed_families: Vec<StatFamily> = Vec::new();
-    for spec in columns.iter().flatten() {
-        match spec {
-            ColumnSpec::Motif { slot, .. } => need_motifs[*slot] = true,
-            ColumnSpec::GraphStat { slot, .. } => need_stats[*slot] = true,
-            ColumnSpec::Stat { family, .. } => {
-                if !needed_families.contains(family) {
-                    needed_families.push(*family);
-                }
-            }
+        .flat_map(|(_, values)| config.kinds.iter().map(move |&kind| (kind, values)));
+    let blocks = graph_out.chunks_mut(block).zip(graph_needed.chunks(block));
+    for ((kind, values), (out, need)) in graphs.zip(blocks) {
+        let (need_motifs, need_stats) = need.split_at(N_MOTIF_FEATURES);
+        let (need_motifs, need_stats) = (need_motifs.contains(&true), need_stats.contains(&true));
+        if !need_motifs && !need_stats {
+            continue;
+        }
+        sink.enter(ExtractStage::GraphBuild);
+        let graph = kind.build(values);
+        sink.exit(ExtractStage::GraphBuild);
+        let (motif_out, stats_out) = out.split_at_mut(N_MOTIF_FEATURES);
+        if need_motifs {
+            motif_out.copy_from_slice(&motif_probability_distribution(&census(&graph, sink)));
+        }
+        if need_stats {
+            stats_out.copy_from_slice(&GraphStatistics::compute(&graph).to_features());
         }
     }
 
-    let scale_values = scale_values_with_sink(series, config.scale_mode, config.multiscale, sink);
-    debug_assert_eq!(
-        scale_values.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-        scales,
-        "scale layout must match the cascade"
-    );
-    let mut motif_probs: Vec<Option<Vec<f64>>> = vec![None; n_slots];
-    let mut graph_stats: Vec<Option<Vec<f64>>> = vec![None; n_slots];
-    for (si, (_, values)) in scale_values.iter().enumerate() {
-        for (ki, &kind) in config.kinds.iter().enumerate() {
-            let slot = si * n_kinds + ki;
-            if slot >= n_slots || (!need_motifs[slot] && !need_stats[slot]) {
-                continue;
-            }
-            sink.enter(ExtractStage::GraphBuild);
-            let graph = kind.build(values);
-            sink.exit(ExtractStage::GraphBuild);
-            if need_motifs[slot] {
-                let counts = census(&graph, sink);
-                motif_probs[slot] = Some(motif_probability_distribution(&counts));
-            }
-            if need_stats[slot] {
-                graph_stats[slot] = Some(GraphStatistics::compute(&graph).to_features());
-            }
-        }
-    }
-
-    let mut family_values: BTreeMap<StatFamily, Vec<f64>> = BTreeMap::new();
-    if !needed_families.is_empty() {
+    if stat_needed.contains(&true) {
         sink.enter(ExtractStage::Statistical);
+        let mut offset = 0;
         for family in StatFamily::ALL {
-            if needed_families.contains(&family) {
-                family_values.insert(
-                    family,
-                    compute_stat_family(family, &config.statistical, series.values()),
-                );
+            let range = offset..offset + stat_family_len(family, &config.statistical);
+            offset = range.end;
+            if stat_needed[range.clone()].contains(&true) {
+                let values = compute_stat_family(family, &config.statistical, series.values());
+                stat_out[range].copy_from_slice(&values);
             }
         }
         sink.exit(ExtractStage::Statistical);
     }
 
-    let lookup = |stored: &[Option<Vec<f64>>], slot: usize, idx: usize| {
-        stored
-            .get(slot)
-            .and_then(|s| s.as_ref())
-            .and_then(|v| v.get(idx))
-            .copied()
-            .unwrap_or(0.0)
-    };
-    columns
-        .iter()
-        .map(|spec| match spec {
-            None => 0.0,
-            Some(ColumnSpec::Motif { slot, idx }) => lookup(&motif_probs, *slot, *idx),
-            Some(ColumnSpec::GraphStat { slot, idx }) => lookup(&graph_stats, *slot, *idx),
-            Some(ColumnSpec::Stat { family, idx }) => family_values
-                .get(family)
-                .and_then(|v| v.get(*idx))
-                .copied()
-                .unwrap_or(0.0),
-        })
-        .collect()
+    match selected {
+        None => wide,
+        Some(positions) => positions
+            .iter()
+            .map(|p| p.map_or(0.0, |i| wide[i]))
+            .collect(),
+    }
 }
 
 /// Extracts features for every series of a dataset, in parallel, and returns
@@ -522,14 +426,24 @@ pub fn extract_dataset_features(
 ) -> (FeatureMatrix, Vec<String>) {
     let max_len = dataset.max_length();
     let names = config.feature_names_for_length(max_len);
-    let width = names.len();
-    let rows: Vec<Vec<f64>> = parallel_map(dataset.series(), n_threads, |series| {
+    let rows = padded_rows(dataset.series(), config, names.len(), n_threads);
+    let matrix = FeatureMatrix::from_rows(&rows).expect("uniform feature rows");
+    (matrix, names)
+}
+
+/// The feature rows of `series`, extracted in parallel and zero-padded (or
+/// truncated) to `width`.
+fn padded_rows(
+    series: &[TimeSeries],
+    config: &FeatureConfig,
+    width: usize,
+    n_threads: usize,
+) -> Vec<Vec<f64>> {
+    parallel_map(series, n_threads, |series| {
         let mut f = extract_series_features(series, config);
         f.resize(width, 0.0);
         f
-    });
-    let matrix = FeatureMatrix::from_rows(&rows).expect("uniform feature rows");
-    (matrix, names)
+    })
 }
 
 /// Output of [`extract_features_streaming`]: the feature matrix, the
@@ -590,12 +504,7 @@ pub fn extract_features_streaming<E>(
     let mut flat: Vec<f64> = Vec::new();
     let mut buffer: Vec<TimeSeries> = Vec::with_capacity(chunk_capacity);
     let flush = |buffer: &mut Vec<TimeSeries>, flat: &mut Vec<f64>| {
-        let rows: Vec<Vec<f64>> = parallel_map(buffer, n_threads, |series| {
-            let mut f = extract_series_features(series, config);
-            f.resize(width, 0.0);
-            f
-        });
-        for row in rows {
+        for row in padded_rows(buffer, config, width, n_threads) {
             flat.extend_from_slice(&row);
         }
         buffer.clear();
@@ -799,6 +708,55 @@ mod tests {
             !mpds.is_known_feature_name("T0 VG P(M44)"),
             "kind not built"
         );
+    }
+
+    #[test]
+    fn every_produced_name_parses_back_to_its_own_column() {
+        let configs = [
+            FeatureConfig::mvg(),
+            FeatureConfig::wide(),
+            FeatureConfig::uvg(),
+            FeatureConfig::amvg(),
+            FeatureConfig::uniscale_single(VisibilityKind::Horizontal, false),
+            FeatureConfig {
+                detrend: true,
+                ..FeatureConfig::wide()
+            },
+        ];
+        for config in &configs {
+            for len in [8usize, 33, 140, 500] {
+                let scales = config.scale_indices_for_length(len);
+                for (i, name) in config.feature_names_for_length(len).iter().enumerate() {
+                    assert_eq!(
+                        config.wide_position(name, &scales),
+                        Some(i),
+                        "config {} length {len}: {name}",
+                        config.label()
+                    );
+                    assert!(config.is_known_feature_name(name), "{name}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn validation_rejects_non_canonical_spellings() {
+        let wide = FeatureConfig::wide();
+        for name in [
+            "T01 VG P(M44)",
+            "T+1 VG P(M44)",
+            "stat acf_01",
+            "stat acf_+1",
+        ] {
+            let selection = FeatureSelection::new(vec![name.to_string()]);
+            let err = selection.validate(&wide).unwrap_err();
+            assert!(
+                err.contains("not in the running catalogue"),
+                "{name}: {err}"
+            );
+        }
+        let canonical = FeatureSelection::new(vec!["T1 VG P(M44)".into(), "stat acf_1".into()]);
+        assert!(canonical.validate(&wide).is_ok());
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! statistics) — the two configurations compared in columns A/C vs B/D of
 //! Table 2.
 
-use crate::motif_groups::{motif_feature_names, motif_probability_distribution};
-use crate::trace::{ExtractStage, NoopTraceSink, TraceSink};
-use tsg_graph::motifs::{count_motifs, count_motifs_with, MotifWorkspace};
+use crate::motif_groups::{
+    motif_feature_index, motif_feature_names, motif_probability_distribution, N_MOTIF_FEATURES,
+};
+use tsg_graph::motifs::count_motifs;
 use tsg_graph::stats::GraphStatistics;
 use tsg_graph::Graph;
 
@@ -18,43 +19,10 @@ use tsg_graph::Graph;
 /// * `include_other_stats = true`  → 17 motif probabilities followed by 7
 ///   scalar statistics.
 ///
-/// Motif counting reuses the calling thread's [`MotifWorkspace`]; use
-/// [`graph_feature_block_with`] to hold the workspace explicitly.
+/// Motif counting reuses the calling thread's
+/// [`MotifWorkspace`](tsg_graph::motifs::MotifWorkspace).
 pub fn graph_feature_block(graph: &Graph, include_other_stats: bool) -> Vec<f64> {
-    features_from_counts(count_motifs(graph), graph, include_other_stats)
-}
-
-/// [`graph_feature_block`] with a caller-held motif workspace, so a worker
-/// processing a stream of graphs performs zero motif-kernel allocations
-/// after the first one.
-pub fn graph_feature_block_with(
-    graph: &Graph,
-    include_other_stats: bool,
-    workspace: &mut MotifWorkspace,
-) -> Vec<f64> {
-    graph_feature_block_traced(graph, include_other_stats, workspace, &mut NoopTraceSink)
-}
-
-/// [`graph_feature_block_with`] with a [`TraceSink`] observing the motif
-/// census (the hottest kernel). Callbacks only — results are identical.
-pub fn graph_feature_block_traced(
-    graph: &Graph,
-    include_other_stats: bool,
-    workspace: &mut MotifWorkspace,
-    sink: &mut impl TraceSink,
-) -> Vec<f64> {
-    sink.enter(ExtractStage::MotifCount);
-    let counts = count_motifs_with(graph, workspace);
-    sink.exit(ExtractStage::MotifCount);
-    features_from_counts(counts, graph, include_other_stats)
-}
-
-fn features_from_counts(
-    counts: tsg_graph::MotifCounts,
-    graph: &Graph,
-    include_other_stats: bool,
-) -> Vec<f64> {
-    let mut features = motif_probability_distribution(&counts);
+    let mut features = motif_probability_distribution(&count_motifs(graph));
     if include_other_stats {
         features.extend(GraphStatistics::compute(graph).to_features());
     }
@@ -67,19 +35,31 @@ pub fn graph_feature_names(include_other_stats: bool) -> Vec<String> {
     if include_other_stats {
         names.extend(
             GraphStatistics::feature_names()
-                .into_iter()
+                .iter()
                 .map(|s| s.to_string()),
         );
     }
     names
 }
 
+/// The position of a [`graph_feature_names`] entry within the block, parsed
+/// from the same tables without allocating.
+pub(crate) fn graph_feature_index(name: &str, include_other_stats: bool) -> Option<usize> {
+    motif_feature_index(name).or_else(|| {
+        let mut stats = GraphStatistics::feature_names().iter();
+        let index = stats
+            .position(|n| *n == name)
+            .filter(|_| include_other_stats)?;
+        Some(N_MOTIF_FEATURES + index)
+    })
+}
+
 /// Number of features in one block.
 pub fn block_len(include_other_stats: bool) -> usize {
     if include_other_stats {
-        17 + 7
+        N_MOTIF_FEATURES + GraphStatistics::feature_names().len()
     } else {
-        17
+        N_MOTIF_FEATURES
     }
 }
 
@@ -103,6 +83,18 @@ mod tests {
             assert_eq!(block.len(), names.len());
             assert_eq!(block.len(), block_len(include));
         }
+    }
+
+    #[test]
+    fn names_parse_back_to_their_block_position() {
+        for include in [false, true] {
+            for (i, name) in graph_feature_names(include).iter().enumerate() {
+                assert_eq!(graph_feature_index(name, include), Some(i), "{name}");
+            }
+        }
+        assert_eq!(graph_feature_index("density", false), None);
+        assert_eq!(graph_feature_index("P(M44", true), None);
+        assert_eq!(graph_feature_index("P(M99)", true), None);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub use catalogue::{
 pub use classifier::{ClassifierChoice, MvgClassifier, MvgConfig};
 pub use extractor::{
     extract_dataset_features, extract_features_streaming, extract_series_features,
-    extract_series_features_traced, extract_series_features_with, FeatureConfig, StreamedFeatures,
+    extract_series_features_traced, FeatureConfig, StreamedFeatures,
 };
 pub use graph_features::{graph_feature_block, graph_feature_names};
 pub use importance::{rank_features, FeatureImportance};

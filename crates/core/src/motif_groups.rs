@@ -97,6 +97,14 @@ pub fn motif_feature_names() -> Vec<String> {
         .collect()
 }
 
+/// The position of a [`motif_feature_names`] entry, parsed without
+/// allocating.
+pub(crate) fn motif_feature_index(name: &str) -> Option<usize> {
+    let id = name.strip_prefix("P(")?.strip_suffix(')')?;
+    let mut motifs = MOTIF_GROUPS.iter().flat_map(|group| group.motifs);
+    motifs.position(|m| m.paper_id() == id)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

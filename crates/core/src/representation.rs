@@ -65,33 +65,17 @@ impl SeriesGraphs {
         mode: ScaleMode,
         options: MultiscaleOptions,
     ) -> Self {
-        Self::build_with_sink(series, kinds, mode, options, &mut NoopTraceSink)
-    }
-
-    /// [`SeriesGraphs::build`] with a [`TraceSink`] observing the `Scale`
-    /// and `GraphBuild` stages. The sink callbacks are the only
-    /// difference — the built graphs are bit-identical.
-    pub fn build_with_sink(
-        series: &TimeSeries,
-        kinds: &[VisibilityKind],
-        mode: ScaleMode,
-        options: MultiscaleOptions,
-        sink: &mut impl TraceSink,
-    ) -> Self {
-        let scales = scale_values_with_sink(series, mode, options, sink);
-        let mut graphs = Vec::with_capacity(scales.len() * kinds.len());
-        for (scale, values) in &scales {
-            for &kind in kinds {
-                sink.enter(ExtractStage::GraphBuild);
-                let graph = kind.build(values);
-                sink.exit(ExtractStage::GraphBuild);
-                graphs.push(ScaleGraph {
+        let scales = scale_values_with_sink(series, mode, options, &mut NoopTraceSink);
+        let graphs = scales
+            .iter()
+            .flat_map(|(scale, values)| {
+                kinds.iter().map(move |&kind| ScaleGraph {
                     scale: *scale,
                     kind,
-                    graph,
-                });
-            }
-        }
+                    graph: kind.build(values),
+                })
+            })
+            .collect();
         SeriesGraphs { graphs }
     }
 
@@ -116,8 +100,8 @@ impl SeriesGraphs {
 }
 
 /// The scale-indexed value vectors a mode produces for one series — the
-/// single source the graph builder and the pruned extractor share, so both
-/// see the exact same cascade (including the AMVG short-series fallback).
+/// single source the graph builder and the extractor share, so both see the
+/// exact same cascade (including the AMVG short-series fallback).
 pub(crate) fn scale_values_with_sink(
     series: &TimeSeries,
     mode: ScaleMode,

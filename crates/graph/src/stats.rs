@@ -99,8 +99,8 @@ impl GraphStatistics {
 
     /// Names matching [`GraphStatistics::to_features`], used for feature
     /// importance reporting.
-    pub fn feature_names() -> Vec<&'static str> {
-        vec![
+    pub fn feature_names() -> &'static [&'static str] {
+        &[
             "density",
             "max_coreness",
             "assortativity",

@@ -9,8 +9,10 @@
 //! for that same model into one batch. Features are extracted for the whole
 //! batch on the shared [`tsg_parallel::ThreadPool`] — each worker checking
 //! one warmed-up [`MotifWorkspace`] out of a cross-batch pool and driving
-//! [`extract_series_features_with`] with it — and the model runs once over
-//! the batch.
+//! [`extract_series_features_traced`] with it (a `StageTimer` sink for
+//! traced requests, [`NoopTraceSink`] otherwise) — and the model runs once
+//! over the batch. That entry point has one extraction body: a pruned
+//! model's row is a column gather of the wide row, by construction.
 //!
 //! One dispatcher for the whole registry is the point: a fleet of 100
 //! registered models costs one scheduler thread, not 100 idle ones, and the
@@ -40,8 +42,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tsg_core::{
-    extract_series_features_traced, extract_series_features_with, ExtractStage, MvgClassifier,
-    TraceSink,
+    extract_series_features_traced, ExtractStage, MvgClassifier, NoopTraceSink, TraceSink,
 };
 use tsg_graph::motifs::MotifWorkspace;
 use tsg_parallel::ThreadPool;
@@ -550,16 +551,16 @@ fn compute_batch(
         .iter()
         .flat_map(|j| j.series.iter().map(move |s| (s, j.trace.as_ref())))
         .collect();
-    let features = model.config().features.clone();
+    let features = &model.config().features;
     let rows: Vec<Vec<f64>> = shared.pool.map(&items, |&(series, trace)| {
         shared.workspaces.with(|ws| match trace {
             Some(trace) => {
                 let mut sink = StageTimer::default();
-                let row = extract_series_features_traced(series, &features, ws, &mut sink);
+                let row = extract_series_features_traced(series, features, ws, &mut sink);
                 sink.stages.flush(trace);
                 row
             }
-            None => extract_series_features_with(series, &features, ws),
+            None => extract_series_features_traced(series, features, ws, &mut NoopTraceSink),
         })
     });
 

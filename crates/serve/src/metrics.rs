@@ -234,15 +234,14 @@ impl Default for ServerMetrics {
 }
 
 impl ServerMetrics {
-    /// Feeds a finished trace's non-zero stage spans into the per-stage
-    /// histograms (zero spans are stages the request never entered — a
-    /// `/healthz` has no `predict` — and would only distort the
-    /// distributions).
+    /// Feeds every stage the finished trace entered into the per-stage
+    /// histograms, sub-µs spans (recorded as 0 µs) included. Stages the
+    /// request never entered — a `/healthz` has no `predict` — are skipped.
     pub fn observe_stages(&self, trace: &FinishedTrace) {
-        for (stage, histogram) in Stage::ALL.iter().zip(&self.stage_seconds) {
-            let micros = trace.stage(*stage);
-            if micros > 0 {
-                histogram.observe(micros as f64 / 1e6);
+        let stages = Stage::ALL.iter().zip(&self.stage_seconds);
+        for ((stage, histogram), entered) in stages.zip(trace.entered) {
+            if entered {
+                histogram.observe(trace.stage(*stage) as f64 / 1e6);
             }
         }
     }
@@ -434,11 +433,10 @@ mod tests {
     #[test]
     fn stage_histograms_render_labeled_series() {
         let m = ServerMetrics::default();
-        let mut trace = tsg_trace::ActiveTrace::begin("/x", 0).finish(0);
-        trace.stage_micros = [0; Stage::COUNT];
-        trace.stage_micros[Stage::Parse.index()] = 30; // 30 µs
-        trace.stage_micros[Stage::Predict.index()] = 2_000; // 2 ms
-        m.observe_stages(&trace);
+        let trace = tsg_trace::ActiveTrace::begin("/x", 0);
+        trace.add_micros(Stage::Parse, 30); // 30 µs
+        trace.add_micros(Stage::Predict, 2_000); // 2 ms
+        m.observe_stages(&trace.finish(0));
         let text = m.render(0, 0.0, 0);
         assert!(text.contains("# TYPE tsg_serve_stage_seconds histogram\n"));
         // one TYPE line for the whole family, not one per stage
@@ -462,6 +460,27 @@ mod tests {
         );
         assert!(
             text.contains("tsg_serve_stage_seconds_sum{stage=\"predict\"} 0.002\n"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn zero_micro_entered_stages_are_observed_and_unentered_ones_are_not() {
+        let m = ServerMetrics::default();
+        let trace = tsg_trace::ActiveTrace::begin("/x", 0);
+        trace.add_micros(Stage::Parse, 0); // a sub-µs parse truncates to 0
+        m.observe_stages(&trace.finish(0));
+        let text = m.render(0, 0.0, 0);
+        assert!(
+            text.contains("tsg_serve_stage_seconds_count{stage=\"parse\"} 1\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("tsg_serve_stage_seconds_bucket{stage=\"parse\",le=\"0.000025\"} 1\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("tsg_serve_stage_seconds_count{stage=\"predict\"} 0\n"),
             "{text}"
         );
     }

@@ -104,6 +104,11 @@ impl Stage {
     pub fn index(self) -> usize {
         self as usize
     }
+
+    /// This stage's bit in an "entered" mask (`COUNT` ≤ 32).
+    fn bit(self) -> u32 {
+        1 << self.index()
+    }
 }
 
 /// A stack-local accumulator of per-stage microseconds.
@@ -111,11 +116,12 @@ impl Stage {
 /// Extraction workers time sub-stages into one of these (plain `u64`s,
 /// owned by the worker's stack frame — no sharing, no atomics) and flush
 /// the result to the request's [`ActiveTrace`] with one atomic add per
-/// non-zero stage. This is the "lock-free per-thread recorder": the
+/// entered stage. This is the "lock-free per-thread recorder": the
 /// per-thread part is ownership, the lock-free part is the flush.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StageSet {
     micros: [u64; Stage::COUNT],
+    entered: u32,
 }
 
 impl StageSet {
@@ -124,6 +130,7 @@ impl StageSet {
     pub fn add(&mut self, stage: Stage, micros: u64) {
         if let Some(cell) = self.micros.get_mut(stage.index()) {
             *cell = cell.saturating_add(micros);
+            self.entered |= stage.bit();
         }
     }
 
@@ -132,15 +139,16 @@ impl StageSet {
         self.micros.get(stage.index()).copied().unwrap_or(0)
     }
 
-    /// True when no stage has recorded any time.
+    /// True when no stage has been entered.
     pub fn is_empty(&self) -> bool {
-        self.micros.iter().all(|&m| m == 0)
+        self.entered == 0
     }
 
-    /// Flushes every non-zero stage into `trace` (one atomic add each).
+    /// Flushes every entered stage into `trace`, 0-µs ones included (one
+    /// atomic add each).
     pub fn flush(&self, trace: &ActiveTrace) {
         for (stage, micros) in Stage::ALL.iter().zip(self.micros.iter()) {
-            if *micros > 0 {
+            if self.entered & stage.bit() != 0 {
                 trace.add_micros(*stage, *micros);
             }
         }
@@ -164,6 +172,7 @@ pub struct ActiveTrace {
     path: String,
     started: Instant,
     stage_micros: [AtomicU64; Stage::COUNT],
+    entered: AtomicU32,
     status: AtomicU32,
     model: OnceLock<String>,
     faults_at_start: u64,
@@ -190,6 +199,7 @@ impl ActiveTrace {
             path: path.to_string(),
             started,
             stage_micros: std::array::from_fn(|_| AtomicU64::new(0)),
+            entered: AtomicU32::new(0),
             status: AtomicU32::new(0),
             model: OnceLock::new(),
             faults_at_start,
@@ -206,10 +216,12 @@ impl ActiveTrace {
         &self.path
     }
 
-    /// Adds microseconds to a stage (lock-free).
+    /// Adds microseconds to a stage and marks it entered, even when
+    /// `micros` is 0 (lock-free).
     pub fn add_micros(&self, stage: Stage, micros: u64) {
         if let Some(cell) = self.stage_micros.get(stage.index()) {
             cell.fetch_add(micros, Ordering::Relaxed);
+            self.entered.fetch_or(stage.bit(), Ordering::Relaxed);
         }
     }
 
@@ -254,6 +266,10 @@ impl ActiveTrace {
                     .map(|c| c.load(Ordering::Relaxed))
                     .unwrap_or(0)
             }),
+            entered: {
+                let mask = self.entered.load(Ordering::Relaxed);
+                Stage::ALL.map(|stage| mask & stage.bit() != 0)
+            },
             faults_injected: faults_now.saturating_sub(self.faults_at_start),
             seq: 0,
         }
@@ -291,6 +307,9 @@ pub struct FinishedTrace {
     pub total_micros: u64,
     /// Per-stage microseconds, indexed by [`Stage::index`].
     pub stage_micros: [u64; Stage::COUNT],
+    /// Whether each stage was entered (recorded at all, 0 µs included),
+    /// indexed by [`Stage::index`]; a `/healthz` never enters `predict`.
+    pub entered: [bool; Stage::COUNT],
     /// `tsg_faults::injected_total()` delta over the request's lifetime.
     pub faults_injected: u64,
     /// Recorder insertion order (assigned by [`FlightRecorder::record`]);
@@ -397,6 +416,7 @@ mod tests {
             status: 200,
             total_micros: total,
             stage_micros: [0; Stage::COUNT],
+            entered: [false; Stage::COUNT],
             faults_injected: 0,
             seq: 0,
         }
@@ -459,6 +479,8 @@ mod tests {
         assert_eq!(done.stage(Stage::Parse), 10);
         assert_eq!(done.stage(Stage::MotifCount), 12);
         assert_eq!(done.stage(Stage::Predict), 0);
+        assert!(done.entered[Stage::MotifCount.index()]);
+        assert!(!done.entered[Stage::Predict.index()]);
         assert_eq!(done.model.as_deref(), Some("m"));
         assert_eq!(done.status, 200);
         assert_eq!(done.faults_injected, 2);
@@ -490,6 +512,21 @@ mod tests {
         let done = trace.finish(0);
         assert_eq!(done.stage(Stage::Scale), 20);
         assert_eq!(done.stage(Stage::GraphBuild), 22);
+    }
+
+    #[test]
+    fn zero_micro_stages_are_still_entered() {
+        let mut set = StageSet::default();
+        set.add(Stage::MotifCount, 0);
+        assert!(!set.is_empty());
+        let trace = ActiveTrace::begin("/x", 0);
+        set.flush(&trace);
+        trace.record(Stage::Parse, Duration::from_nanos(300));
+        let done = trace.finish(0);
+        assert_eq!(done.stage(Stage::Parse), 0);
+        assert!(done.entered[Stage::Parse.index()]);
+        assert!(done.entered[Stage::MotifCount.index()]);
+        assert!(!done.entered[Stage::Scale.index()]);
     }
 
     #[test]

@@ -18,9 +18,9 @@ use tsc_mvg::ml::stacking::{StackingEnsemble, StackingParams};
 use tsc_mvg::ml::traits::Classifier;
 use tsc_mvg::ml::tree::{DecisionTree, DecisionTreeParams};
 use tsc_mvg::ml::{FeatureMatrix, GridSearch};
-use tsc_mvg::mvg::extract_series_features_with;
 use tsc_mvg::mvg::{
-    extract_dataset_features, extract_features_streaming, FeatureConfig, MvgClassifier, MvgConfig,
+    extract_dataset_features, extract_features_streaming, extract_series_features_traced,
+    FeatureConfig, MvgClassifier, MvgConfig, NoopTraceSink,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
@@ -157,12 +157,15 @@ fn workspace_reuse_is_bit_identical_to_fresh_workspaces() {
     let with_reuse: Vec<Vec<f64>> = train
         .series()
         .iter()
-        .map(|s| extract_series_features_with(s, &config, &mut reused))
+        .map(|s| extract_series_features_traced(s, &config, &mut reused, &mut NoopTraceSink))
         .collect();
     let with_fresh: Vec<Vec<f64>> = train
         .series()
         .iter()
-        .map(|s| extract_series_features_with(s, &config, &mut MotifWorkspace::new()))
+        .map(|s| {
+            let mut fresh = MotifWorkspace::new();
+            extract_series_features_traced(s, &config, &mut fresh, &mut NoopTraceSink)
+        })
         .collect();
     assert_eq!(bits(&with_reuse), bits(&with_fresh));
 
@@ -493,6 +496,83 @@ fn wide_prune_refit_matches_the_pinned_bits() {
                 "{dataset}: ({:#018x}, {:#018x}, {:#018x}, {:#018x})",
                 got.0, got.1, got.2, got.3
             ));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+#[test]
+fn feature_matrices_match_the_pinned_bits() {
+    // The feature matrix of every serving preset on two catalogue datasets,
+    // plus a pruned `wide` selection in scrambled order that names a scale
+    // these lengths never reach. The FNV-1a constants were captured with
+    // the two-body extractor (a wide body and a pruned body that rebuilt a
+    // name map per series), before one body replaced both; every feature
+    // bit must survive that rewrite.
+    // `(dataset, [fast, paper, uvg-fast, wide, pruned wide])`
+    const PINS: [(&str, [u64; 5]); 2] = [
+        (
+            "ECG5000",
+            [
+                0x568f_c317_49dc_23e5,
+                0x568f_c317_49dc_23e5,
+                0xc5df_1c43_aade_2238,
+                0x9fa1_9263_f9c8_85e5,
+                0xd817_fd58_fd0d_1b0d,
+            ],
+        ),
+        (
+            "FordA",
+            [
+                0x6da9_a2ba_1851_8454,
+                0x6da9_a2ba_1851_8454,
+                0xccf1_9d5b_7250_c2df,
+                0x0e89_4c4a_cb47_ac71,
+                0xf186_4c74_bc19_ef22,
+            ],
+        ),
+    ];
+    let seed = 101;
+    let mut mismatches = Vec::new();
+    for (dataset, pins) in PINS {
+        let pair = DatasetSource::synthetic(ArchiveOptions::bounded(12, 256, seed))
+            .resolve(dataset)
+            .expect("catalogue dataset");
+        let mut configs: Vec<FeatureConfig> = tsc_mvg::serve::CONFIG_PRESETS
+            .iter()
+            .map(|preset| {
+                tsc_mvg::serve::config_named(preset, seed, 1)
+                    .unwrap()
+                    .features
+            })
+            .collect();
+        let wide = FeatureConfig::wide();
+        let mut selected: Vec<String> = wide
+            .feature_names_for_length(pair.train.max_length())
+            .into_iter()
+            .step_by(5)
+            .rev()
+            .collect();
+        selected.insert(3, "T12 HVG P(M44)".to_string());
+        configs.push(FeatureConfig {
+            selection: Some(tsc_mvg::mvg::FeatureSelection::new(selected)),
+            ..wide
+        });
+        let got: Vec<u64> = configs
+            .iter()
+            .map(|config| {
+                let (matrix, names) = extract_dataset_features(&pair.train, config, 2);
+                let name_bytes = names.iter().flat_map(|n| n.bytes().chain([0]));
+                let bits = matrix
+                    .rows()
+                    .flatten()
+                    .flat_map(|v| v.to_bits().to_le_bytes());
+                fnv1a(name_bytes.chain(bits))
+            })
+            .collect();
+        if got != pins {
+            let hex: Vec<String> = got.iter().map(|h| format!("{h:#018x}")).collect();
+            mismatches.push(format!("{dataset}: [{}]", hex.join(", ")));
         }
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
