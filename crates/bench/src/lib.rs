@@ -1,7 +1,9 @@
 //! # tsg-bench — experiment harness
 //!
 //! Shared plumbing for the per-table / per-figure experiment binaries under
-//! `src/bin/` and the criterion micro-benchmarks under `benches/`.
+//! `src/bin/`. Performance is measured elsewhere: `perfbench/` times every
+//! pipeline layer on workload series, and the `feature_timing` binary here
+//! prints the per-family feature cost table.
 //!
 //! Each binary regenerates one artefact of the paper's evaluation section:
 //!
@@ -67,22 +69,33 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Parses the common flags from `std::env::args`.
+    /// Parses the common flags from `std::env::args`; a bad command line
+    /// prints the reason and exits with status 2.
     ///
     /// Supported flags: `--quick`, `--full`, `--datasets a,b,c`,
     /// `--max-datasets N`, `--seed N`, `--threads N`, `--no-figures`,
-    /// `--out DIR`.
+    /// `--out DIR`, `--ucr-dir DIR`.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_arg_slice(&args)
+        Self::from_arg_slice(&args).unwrap_or_else(|message| {
+            eprintln!("error: {message}");
+            std::process::exit(2);
+        })
     }
 
-    /// Parses flags from an explicit slice (testable).
-    pub fn from_arg_slice(args: &[String]) -> Self {
+    /// Parses flags from an explicit slice (testable). An unknown flag, a
+    /// flag missing its value and a malformed number are errors that name
+    /// the flag.
+    pub fn from_arg_slice(args: &[String]) -> Result<Self, String> {
         let mut options = RunOptions::default();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("`{flag}` needs a value"));
+            let number = |text: &String| {
+                text.parse::<u64>()
+                    .map_err(|_| format!("`{flag}` expects a non-negative integer, got `{text}`"))
+            };
+            match flag.as_str() {
                 "--quick" => {
                     options.archive = ArchiveOptions::bounded(24, 192, options.seed);
                     if options.max_datasets == 0 {
@@ -94,50 +107,21 @@ impl RunOptions {
                 }
                 "--no-figures" => options.figures = false,
                 "--datasets" => {
-                    if let Some(v) = args.get(i + 1) {
-                        options.dataset_filter =
-                            v.split(',').map(|s| s.trim().to_string()).collect();
-                        i += 1;
-                    }
+                    options.dataset_filter =
+                        value()?.split(',').map(|s| s.trim().to_string()).collect();
                 }
-                "--max-datasets" => {
-                    if let Some(v) = args.get(i + 1) {
-                        options.max_datasets = v.parse().unwrap_or(0);
-                        i += 1;
-                    }
-                }
+                "--max-datasets" => options.max_datasets = number(value()?)? as usize,
                 "--seed" => {
-                    if let Some(v) = args.get(i + 1) {
-                        options.seed = v.parse().unwrap_or(7);
-                        options.archive.seed = options.seed;
-                        i += 1;
-                    }
+                    options.seed = number(value()?)?;
+                    options.archive.seed = options.seed;
                 }
-                "--threads" => {
-                    if let Some(v) = args.get(i + 1) {
-                        options.n_threads = v.parse().unwrap_or(0);
-                        i += 1;
-                    }
-                }
-                "--out" => {
-                    if let Some(v) = args.get(i + 1) {
-                        options.output_dir = PathBuf::from(v);
-                        i += 1;
-                    }
-                }
-                "--ucr-dir" => {
-                    if let Some(v) = args.get(i + 1) {
-                        options.ucr_dir = Some(PathBuf::from(v));
-                        i += 1;
-                    }
-                }
-                other => {
-                    eprintln!("ignoring unknown flag `{other}`");
-                }
+                "--threads" => options.n_threads = number(value()?)? as usize,
+                "--out" => options.output_dir = PathBuf::from(value()?),
+                "--ucr-dir" => options.ucr_dir = Some(PathBuf::from(value()?)),
+                other => return Err(format!("unknown flag `{other}`")),
             }
-            i += 1;
         }
-        options
+        Ok(options)
     }
 
     /// The unified dataset resolver for this run: the `--ucr-dir` flag (or
@@ -213,7 +197,7 @@ mod tests {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let options = RunOptions::from_arg_slice(&args);
+        let options = RunOptions::from_arg_slice(&args).unwrap();
         assert!(!options.figures);
         assert_eq!(options.seed, 13);
         assert_eq!(options.n_threads, 3);
@@ -229,7 +213,7 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let options = RunOptions::from_arg_slice(&args);
+        let options = RunOptions::from_arg_slice(&args).unwrap();
         assert_eq!(options.selected_specs().len(), 5);
     }
 
@@ -239,7 +223,7 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let options = RunOptions::from_arg_slice(&args);
+        let options = RunOptions::from_arg_slice(&args).unwrap();
         assert_eq!(options.ucr_dir.as_deref(), Some(Path::new("/tmp/ucr-tree")));
         let source = options.dataset_source();
         assert_eq!(source.ucr_dir(), Some(Path::new("/tmp/ucr-tree")));
@@ -247,12 +231,22 @@ mod tests {
     }
 
     #[test]
-    fn unknown_flags_are_ignored() {
-        let args: Vec<String> = ["--bogus", "--full"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let options = RunOptions::from_arg_slice(&args);
-        assert_eq!(options.archive.max_train, usize::MAX);
+    fn unknown_flags_and_bad_values_are_rejected() {
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            RunOptions::from_arg_slice(&args)
+        };
+        for (args, named) in [
+            (&["--full", "--bogus"][..], "--bogus"),
+            (&["--figures"][..], "--figures"),
+            (&["--seed", "x7"][..], "--seed"),
+            (&["--threads", "-1"][..], "--threads"),
+            (&["--max-datasets", "five"][..], "--max-datasets"),
+            (&["--quick", "--out"][..], "--out"),
+        ] {
+            let message = parse(args).expect_err(&format!("{args:?} was accepted"));
+            assert!(message.contains(named), "{args:?}: {message}");
+        }
+        assert_eq!(parse(&["--full"]).unwrap().archive.max_train, usize::MAX);
     }
 }

@@ -460,12 +460,7 @@ impl MvgClassifier {
             "{:?}|{:?}|{}|{}",
             config.features, config.classifier, config.oversample, config.seed
         );
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for byte in canonical.as_bytes() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-        hash
+        tsg_ts::hash::Fnv1a::hash(canonical.as_bytes())
     }
 
     /// Serialises the fitted state — feature names, scaler, model, class
@@ -726,6 +721,12 @@ mod tests {
         assert!(MvgClassifier::from_snapshot(other_threads, &bytes).is_ok());
         // but any behaviour-relevant change is rejected outright
         assert!(MvgClassifier::from_snapshot(MvgConfig::fast().with_seed(99), &bytes).is_err());
+        // and the fingerprint itself is pinned: a snapshot written by an
+        // older build must keep restoring under the same configuration
+        assert_eq!(
+            MvgClassifier::config_fingerprint(&MvgConfig::fast()),
+            0xe489_19a8_3483_1cfa
+        );
         // corruption fails closed: every truncation and a one-bit flip
         for cut in [0, 7, bytes.len() / 2, bytes.len() - 1] {
             assert!(
@@ -843,7 +844,7 @@ mod tests {
         let train = structured_dataset(8, 96, 35);
         let test = structured_dataset(6, 96, 36);
         let wide_config = MvgConfig::fast().with_features(FeatureConfig::wide());
-        let mut wide = MvgClassifier::new(wide_config);
+        let mut wide = MvgClassifier::new(wide_config.clone());
         wide.fit(&train).unwrap();
         let pruned_config = wide.pruned_config(16).unwrap();
         let mut pruned = MvgClassifier::new(pruned_config.clone());
@@ -859,11 +860,12 @@ mod tests {
         let other = wide.pruned_config(8).unwrap();
         assert!(MvgClassifier::from_snapshot(other, &bytes).is_err());
         // and the wide config cannot claim the pruned snapshot
-        assert!(MvgClassifier::from_snapshot(
-            MvgConfig::fast().with_features(FeatureConfig::wide()),
-            &bytes
-        )
-        .is_err());
+        assert_eq!(
+            MvgClassifier::config_fingerprint(&wide_config),
+            0x4ca5_349d_9074_699e,
+            "the wide preset's fingerprint is pinned across versions"
+        );
+        assert!(MvgClassifier::from_snapshot(wide_config, &bytes).is_err());
     }
 
     #[test]

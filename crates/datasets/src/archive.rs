@@ -394,16 +394,6 @@ pub fn spec_by_name(name: &str) -> Option<&'static DatasetSpec> {
     ALL_DATASETS.iter().find(|s| s.name == name)
 }
 
-fn name_hash(name: &str) -> u64 {
-    // FNV-1a, stable across runs and platforms
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for b in name.as_bytes() {
-        hash ^= *b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
-}
-
 /// The class label of instance `i` in a split of `n_instances`: round-robin
 /// over classes keeps every class represented even in heavily subsampled
 /// datasets; a mild imbalance is added for larger ones so oversampling stays
@@ -421,7 +411,7 @@ pub(crate) fn instance_class(spec: &DatasetSpec, n_instances: usize, i: usize) -
 /// The RNG generating a dataset's splits (train first, test continuing the
 /// same keystream), seeded from the base seed and the dataset name.
 pub(crate) fn split_rng(spec: &DatasetSpec, seed: u64) -> ChaCha8Rng {
-    ChaCha8Rng::seed_from_u64(seed ^ name_hash(spec.name))
+    ChaCha8Rng::seed_from_u64(seed ^ tsg_ts::hash::Fnv1a::hash(spec.name.as_bytes()))
 }
 
 /// Effective `(n_train, n_test, length)` shape of a spec under a size

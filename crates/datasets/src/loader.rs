@@ -1,12 +1,10 @@
-//! Loading real UCR archive files when they are available.
+//! Locating real UCR archive files.
 //!
-//! If a directory containing the UCR text format is supplied (one
-//! sub-directory per dataset with `<Name>_TRAIN` / `<Name>_TEST` files, or
-//! flat files named that way), the loader reads it; otherwise callers fall
-//! back to the synthetic archive. This lets the reproduction run unchanged
-//! against the real benchmark data when licensing permits. The
-//! [`crate::source::DatasetSource`] resolver builds on these functions; use
-//! it rather than calling them directly unless you need the raw paths.
+//! A directory in the UCR text format holds one sub-directory per dataset
+//! with `<Name>_TRAIN` / `<Name>_TEST` files, or flat files named that way.
+//! This module only finds the files; [`crate::source::DatasetSource`] reads
+//! them, and falls back to the synthetic archive when a directory lacks a
+//! dataset.
 //!
 //! ## Pinned lookup precedence
 //!
@@ -22,10 +20,7 @@
 //! Train and test are located independently, so a mixed tree (nested train,
 //! flat test) still loads.
 
-use crate::archive::ArchiveOptions;
 use std::path::{Path, PathBuf};
-use tsg_ts::io::{read_ucr_file_with, UcrRecordParser};
-use tsg_ts::{Dataset, TsError};
 
 /// Extension order tried for each layout (part of the pinned precedence).
 const EXTENSIONS: [&str; 4] = ["", ".txt", ".tsv", ".csv"];
@@ -51,72 +46,14 @@ pub fn find_split(root: &Path, name: &str, suffix: &str) -> Option<PathBuf> {
     nested.chain(flat).find(|p| p.is_file())
 }
 
-/// Loads the `(train, test)` pair for a dataset from a UCR-format directory,
-/// distinguishing *absent* from *broken*:
-///
-/// * `Ok(None)` — the directory truly lacks the pair (fall back freely);
-/// * `Ok(Some(pair))` — both files present and well-formed;
-/// * `Err(_)` — the files are present but unreadable or malformed. Callers
-///   must **not** fall back to synthesis on this branch: silently
-///   substituting generated data for a broken archive file would change
-///   reported results.
-pub fn try_load_ucr_pair(root: &Path, name: &str) -> Result<Option<(Dataset, Dataset)>, TsError> {
-    let Some((train_path, test_path)) = find_ucr_pair(root, name) else {
-        return Ok(None);
-    };
-    // parse the training file first and seed the test parser with its label
-    // table: the splits of a real pair routinely list classes in different
-    // first-appearance orders, and inconsistent indices would silently
-    // corrupt every reported error rate
-    let mut train_parser = UcrRecordParser::new();
-    let mut train = read_ucr_file_with(&mut train_parser, &train_path)?;
-    let mut test = read_ucr_file_with(
-        &mut UcrRecordParser::seeded(train_parser.label_map()),
-        &test_path,
-    )?;
-    train.name = format!("{name}_TRAIN");
-    test.name = format!("{name}_TEST");
-    Ok(Some((train, test)))
-}
-
-/// Loads the `(train, test)` pair for a dataset from a UCR-format directory,
-/// folding read errors into `None`. Prefer [`try_load_ucr_pair`] (or the
-/// `DatasetSource` resolver) where the absent/broken distinction matters.
-pub fn load_ucr_pair(root: &Path, name: &str) -> Option<(Dataset, Dataset)> {
-    try_load_ucr_pair(root, name).ok().flatten()
-}
-
-/// Loads a dataset from `root` when available, otherwise synthesises it from
-/// the archive catalogue. Falls back to synthesis **only** when the
-/// directory truly lacks the `_TRAIN`/`_TEST` pair; a present-but-malformed
-/// pair is an error.
-pub fn load_or_generate(
-    root: Option<&Path>,
-    name: &str,
-    options: ArchiveOptions,
-) -> Result<(Dataset, Dataset), String> {
-    if let Some(root) = root {
-        match try_load_ucr_pair(root, name) {
-            Ok(Some(pair)) => return Ok(pair),
-            Ok(None) => {} // truly absent: synthesise below
-            Err(e) => {
-                return Err(format!(
-                    "UCR pair for `{name}` under {} is unreadable: {e}",
-                    root.display()
-                ))
-            }
-        }
-    }
-    crate::archive::generate_by_name_scaled(name, options)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::archive::ArchiveOptions;
+    use crate::source::{DatasetSource, SourceError, SourceKind};
     use std::sync::atomic::{AtomicU32, Ordering};
     use tsg_ts::io::write_ucr_file;
-    use tsg_ts::TimeSeries;
+    use tsg_ts::{Dataset, TimeSeries};
 
     static DIR_COUNTER: AtomicU32 = AtomicU32::new(0);
 
@@ -133,6 +70,13 @@ mod tests {
         ));
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// Resolves `name` from `root` the way every production caller does.
+    fn load(root: &Path, name: &str) -> Result<(Dataset, Dataset), SourceError> {
+        let source =
+            DatasetSource::synthetic(ArchiveOptions::bounded(10, 64, 1)).with_ucr_dir(root);
+        source.resolve(name).map(|pair| (pair.train, pair.test))
     }
 
     fn toy_pair(marker: f64) -> (Dataset, Dataset) {
@@ -170,7 +114,7 @@ mod tests {
                 assert!(test_path
                     .to_string_lossy()
                     .ends_with(&format!("Toy_TEST{ext}")));
-                let (train, test) = load_ucr_pair(&root, "Toy").unwrap();
+                let (train, test) = load(&root, "Toy").unwrap();
                 assert_eq!(train.len(), 2);
                 assert_eq!(test.len(), 1);
                 assert_eq!(train.name, "Toy_TRAIN");
@@ -185,7 +129,7 @@ mod tests {
         let root = temp_root("precedence");
         write_pair(&root, "Toy", true, "", 1.0); // nested, marker 1.0
         write_pair(&root, "Toy", false, ".txt", 2.0); // flat, marker 2.0
-        let (train, _) = load_ucr_pair(&root, "Toy").unwrap();
+        let (train, _) = load(&root, "Toy").unwrap();
         assert_eq!(
             train.series()[0].values()[0],
             1.0,
@@ -200,7 +144,7 @@ mod tests {
         write_pair(&root, "Toy", false, ".tsv", 3.0);
         write_pair(&root, "Toy", false, "", 4.0);
         write_pair(&root, "Toy", false, ".csv", 5.0);
-        let (train, _) = load_ucr_pair(&root, "Toy").unwrap();
+        let (train, _) = load(&root, "Toy").unwrap();
         assert_eq!(
             train.series()[0].values()[0],
             4.0,
@@ -218,7 +162,7 @@ mod tests {
         write_ucr_file(&train, root.join("Toy").join("Toy_TRAIN")).unwrap();
         write_ucr_file(&test, root.join("Toy_TEST.txt")).unwrap();
         assert!(find_ucr_pair(&root, "Toy").is_some());
-        assert!(load_ucr_pair(&root, "Toy").is_some());
+        assert!(load(&root, "Toy").is_ok());
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -228,15 +172,19 @@ mod tests {
         let (train, _) = toy_pair(1.0);
         write_ucr_file(&train, root.join("Toy_TRAIN.txt")).unwrap();
         assert!(find_ucr_pair(&root, "Toy").is_none());
-        assert!(load_ucr_pair(&root, "Toy").is_none());
-        assert!(try_load_ucr_pair(&root, "Toy").unwrap().is_none());
+        // absent, not broken: an uncatalogued name is unknown, not unreadable
+        assert!(matches!(
+            load(&root, "Toy"),
+            Err(SourceError::UnknownDataset(_))
+        ));
         std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
     fn missing_files_return_none() {
         let root = temp_root("missing");
-        assert!(load_ucr_pair(&root, "Nothing").is_none());
+        assert!(find_ucr_pair(&root, "Nothing").is_none());
+        assert!(find_split(&root, "Nothing", "TRAIN").is_none());
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -245,9 +193,8 @@ mod tests {
         let root = temp_root("malformed");
         std::fs::write(root.join("Toy_TRAIN.txt"), "1,0.5,garbage\n").unwrap();
         std::fs::write(root.join("Toy_TEST.txt"), "1,0.5,0.6\n").unwrap();
-        assert!(try_load_ucr_pair(&root, "Toy").is_err());
-        // the lossy wrapper folds it to None for legacy callers
-        assert!(load_ucr_pair(&root, "Toy").is_none());
+        assert!(find_ucr_pair(&root, "Toy").is_some());
+        assert!(matches!(load(&root, "Toy"), Err(SourceError::Read { .. })));
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -258,31 +205,9 @@ mod tests {
         let root = temp_root("labels");
         std::fs::write(root.join("Toy_TRAIN.txt"), "4,0.5,0.6\n8,1.0,1.1\n").unwrap();
         std::fs::write(root.join("Toy_TEST.txt"), "8,1.5,1.6\n4,0.1,0.2\n").unwrap();
-        let (train, test) = try_load_ucr_pair(&root, "Toy").unwrap().unwrap();
+        let (train, test) = load(&root, "Toy").unwrap();
         assert_eq!(train.labels_required().unwrap(), vec![0, 1]);
         assert_eq!(test.labels_required().unwrap(), vec![1, 0]);
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn load_or_generate_falls_back_only_when_pair_truly_absent() {
-        let options = ArchiveOptions::bounded(10, 64, 1);
-        // no directory at all: synthesis
-        let (train, test) = load_or_generate(None, "BeetleFly", options).unwrap();
-        assert!(!train.is_empty());
-        assert!(!test.is_empty());
-        assert!(load_or_generate(None, "Unknown", options).is_err());
-
-        // directory lacking the pair (lone _TRAIN): synthesis
-        let root = temp_root("fallback");
-        let (toy_train, _) = toy_pair(1.0);
-        write_ucr_file(&toy_train, root.join("BeetleFly_TRAIN.txt")).unwrap();
-        let (train2, _) = load_or_generate(Some(&root), "BeetleFly", options).unwrap();
-        assert_eq!(train2, train, "fallback must reproduce pure synthesis");
-
-        // present but malformed pair: hard error, never silent synthesis
-        std::fs::write(root.join("BeetleFly_TEST.txt"), "1,0.5,nope\n").unwrap();
-        assert!(load_or_generate(Some(&root), "BeetleFly", options).is_err());
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -290,10 +215,12 @@ mod tests {
     fn real_pair_wins_over_synthesis() {
         let root = temp_root("wins");
         write_pair(&root, "BeetleFly", true, ".txt", 42.0);
-        let options = ArchiveOptions::bounded(10, 64, 1);
-        let (train, _) = load_or_generate(Some(&root), "BeetleFly", options).unwrap();
-        assert_eq!(train.len(), 2);
-        assert_eq!(train.series()[0].values()[0], 42.0);
+        let source =
+            DatasetSource::synthetic(ArchiveOptions::bounded(10, 64, 1)).with_ucr_dir(&root);
+        let pair = source.resolve("BeetleFly").unwrap();
+        assert_eq!(pair.kind(), SourceKind::Real);
+        assert_eq!(pair.train.len(), 2);
+        assert_eq!(pair.train.series()[0].values()[0], 42.0);
         std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -39,6 +39,7 @@ use crate::loader::find_ucr_pair;
 use rand_chacha::ChaCha8Rng;
 use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
+use tsg_ts::hash::Fnv1a;
 use tsg_ts::io::UcrRecordParser;
 use tsg_ts::{Dataset, TimeSeries};
 
@@ -732,7 +733,7 @@ fn hash_file(path: &Path) -> Result<u64, SourceError> {
         message: e.to_string(),
     })?;
     let mut reader = BufReader::new(file);
-    let mut hash: u64 = 0xcbf29ce484222325;
+    let mut hash = Fnv1a::default();
     let mut chunk = [0u8; 64 * 1024];
     loop {
         let n = reader.read(&mut chunk).map_err(|e| SourceError::Read {
@@ -740,12 +741,9 @@ fn hash_file(path: &Path) -> Result<u64, SourceError> {
             message: e.to_string(),
         })?;
         if n == 0 {
-            return Ok(hash);
+            return Ok(hash.finish());
         }
-        for b in &chunk[..n] {
-            hash ^= *b as u64;
-            hash = hash.wrapping_mul(0x100000001b3);
-        }
+        hash.update(&chunk[..n]);
     }
 }
 
@@ -951,6 +949,11 @@ mod tests {
         let stream = source.open_split("Var", Split::Train).unwrap();
         assert_eq!(stream.n_instances(), 2);
         assert_eq!(stream.max_length(), 4);
+        // the content hash artefacts embed, pinned across versions
+        assert_eq!(
+            stream.provenance().content_hash,
+            Some(0x5d00_b80e_3c61_8b86)
+        );
         let series = collect(stream);
         assert_eq!(series[0].len(), 2);
         assert_eq!(series[1].len(), 4);

@@ -42,8 +42,7 @@ use std::io;
 /// (`err`, plus `torn`/`bitflip` on the write sites).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Site {
-    /// Nonblocking connection read in the event loop (and the blocking
-    /// request reader in `http.rs`).
+    /// Nonblocking connection read in the event loop.
     ConnRead,
     /// Nonblocking connection write/flush in the event loop.
     ConnWrite,
@@ -240,10 +239,10 @@ fn injected_err() -> io::Error {
     io::Error::other("injected fault (tsg_faults)")
 }
 
-/// splitmix64 — the repo-wide seeding primitive (see `tsg_parallel`,
-/// `serve_loadgen`). Deterministic, full-period, cheap.
-#[cfg(feature = "injection")]
-fn splitmix64(state: &mut u64) -> u64 {
+/// splitmix64: advances `state` and returns the next output. Deterministic,
+/// full-period and cheap; it drives the per-site fault streams here and the
+/// seeded load of `serve_loadgen`, so both replay exactly from one seed.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

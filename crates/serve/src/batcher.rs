@@ -22,8 +22,6 @@
 //! Completion is a callback ([`SharedBatcher::submit`]): the event-loop
 //! server passes a closure that enqueues the finished response and wakes the
 //! loop via its eventfd, so no connection ever blocks a thread on a batch.
-//! [`SharedBatcher::classify`] keeps the blocking convenience wrapper for
-//! tests and in-process callers.
 //!
 //! Backpressure: when the queue already holds [`BatchConfig::queue_depth`]
 //! series, submission returns [`ClassifyError::Saturated`] and the HTTP
@@ -167,39 +165,6 @@ impl TraceSink for StageTimer {
                 self.stages
                     .add(request_stage(stage), started.elapsed().as_micros() as u64);
             }
-        }
-    }
-}
-
-/// Rendezvous for the blocking [`SharedBatcher::classify`] wrapper.
-struct Slot {
-    result: Mutex<Option<Result<ClassifyOutput, ClassifyError>>>,
-    ready: Condvar,
-}
-
-impl Slot {
-    fn new() -> Arc<Slot> {
-        Arc::new(Slot {
-            result: Mutex::new(None),
-            ready: Condvar::new(),
-        })
-    }
-
-    fn fill(&self, result: Result<ClassifyOutput, ClassifyError>) {
-        *lock_recover(&self.result) = Some(result);
-        self.ready.notify_all();
-    }
-
-    fn wait(&self) -> Result<ClassifyOutput, ClassifyError> {
-        let mut guard = lock_recover(&self.result);
-        loop {
-            if let Some(result) = guard.take() {
-                return result;
-            }
-            guard = self
-                .ready
-                .wait(guard)
-                .unwrap_or_else(|poison| poison.into_inner());
         }
     }
 }
@@ -353,26 +318,6 @@ impl SharedBatcher {
         Ok(())
     }
 
-    /// Blocking convenience over [`SharedBatcher::submit`]: parks the
-    /// calling thread until the batch has been dispatched. Used by tests and
-    /// in-process callers; the event loop never blocks here.
-    pub fn classify(
-        &self,
-        model: Arc<MvgClassifier>,
-        series: Vec<TimeSeries>,
-        want_proba: bool,
-    ) -> Result<ClassifyOutput, ClassifyError> {
-        let slot = Slot::new();
-        let filler = Arc::clone(&slot);
-        self.submit(
-            model,
-            series,
-            want_proba,
-            Box::new(move |result| filler.fill(result)),
-        )?;
-        slot.wait()
-    }
-
     /// Stops accepting new work, fails queued jobs and joins the dispatcher.
     /// Idempotent; callable through a shared reference.
     pub fn shutdown(&self) {
@@ -389,6 +334,27 @@ impl SharedBatcher {
         if let Some(handle) = lock_recover(&self.dispatcher).take() {
             let _ = handle.join();
         }
+    }
+}
+
+/// Test helper: [`SharedBatcher::submit`] that parks the calling thread
+/// until the batch has run. The event loop never blocks on a batch.
+#[cfg(test)]
+impl SharedBatcher {
+    pub(crate) fn classify(
+        &self,
+        model: Arc<MvgClassifier>,
+        series: Vec<TimeSeries>,
+        want_proba: bool,
+    ) -> Result<ClassifyOutput, ClassifyError> {
+        let (done, result) = std::sync::mpsc::channel();
+        self.submit(
+            model,
+            series,
+            want_proba,
+            Box::new(move |output| drop(done.send(output))),
+        )?;
+        result.recv().unwrap_or(Err(ClassifyError::ShuttingDown))
     }
 }
 

@@ -2,9 +2,7 @@
 //!
 //! Drives N concurrent keep-alive connections against a running server,
 //! sending deterministic synthetic series to `POST /models/{name}/classify`,
-//! and reports sustained throughput plus latency percentiles — so serving
-//! performance is measured the same way the motif kernel already is
-//! (numbers first, then tuning).
+//! and reports sustained throughput plus latency percentiles.
 //!
 //! ```sh
 //! serve_loadgen --addr 127.0.0.1:7878 [--model default] [--connections 8]
@@ -32,6 +30,7 @@ use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
+use tsg_faults::splitmix64;
 use tsg_serve::http;
 use tsg_serve::json::Json;
 use tsg_trace::Stage;
@@ -139,16 +138,6 @@ fn parse_args() -> Result<Args, String> {
         return Err("--addr is required".to_string());
     }
     Ok(args)
-}
-
-/// SplitMix64: small deterministic generator so the load is reproducible
-/// without pulling the rand crates into the binary.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 /// A plausible series: a sine of seeded frequency/phase plus seeded noise.

@@ -23,7 +23,7 @@
 use crate::json::Json;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Upper bound on an accepted request body (covers inline training sets for
 /// generously sized datasets while bounding memory per connection).
@@ -283,132 +283,15 @@ fn content_length(headers: &[(String, String)]) -> Result<usize, ParseError> {
     Ok(resolved.unwrap_or(0))
 }
 
-/// Outcome of one attempt to read a request from a keep-alive connection.
-#[derive(Debug)]
-pub enum RequestOutcome {
-    /// A complete request was read.
-    Request(Request),
-    /// The peer closed the connection before sending another request.
-    Closed,
-    /// The read timed out before the first byte of a request arrived; the
-    /// connection is still healthy (the caller typically checks its shutdown
-    /// flag and retries).
-    Idle,
-}
-
-/// Per-request budget for slow senders. Socket read timeouts are short, so
-/// a request that has *started* tolerates individual timeouts and only
-/// fails once this much wall time has passed since its first byte — a
-/// stalling WAN upload is not cut off after one short timeout. The event
-/// loop enforces the same budget through its timeout sweep.
+/// Default wall-clock budget for receiving one request
+/// (`ServeConfig::request_budget`). The clock starts at a request's first
+/// byte, and the event loop's timeout sweep answers `408` once it runs out,
+/// so a stalling WAN upload is not cut off by one short read but a
+/// slowloris peer cannot hold a connection forever.
 pub const MID_REQUEST_BUDGET: Duration = Duration::from_secs(30);
-
-/// Tracks whether a request has started and how long it may still take.
-struct TimeoutBudget {
-    deadline: Option<Instant>,
-}
-
-impl TimeoutBudget {
-    fn new() -> TimeoutBudget {
-        TimeoutBudget { deadline: None }
-    }
-
-    /// Marks the request as started (first byte seen).
-    fn start(&mut self) {
-        if self.deadline.is_none() {
-            self.deadline = Some(Instant::now() + MID_REQUEST_BUDGET);
-        }
-    }
-
-    /// Whether a timeout error should be retried rather than propagated.
-    fn tolerates_timeout(&self) -> bool {
-        matches!(self.deadline, Some(d) if Instant::now() < d)
-    }
-}
-
-/// Blocking convenience over [`RequestParser`] for tests and simple tools:
-/// reads one request off a blocking socket. `Idle` is only reported when
-/// the timeout fires before any byte of the request was seen; once a
-/// request has started, timeouts are retried until [`MID_REQUEST_BUDGET`]
-/// is exhausted. The event-loop server drives [`RequestParser`] directly —
-/// this wrapper parses one request per fresh parser, so pipelined bytes
-/// beyond the first request are not preserved across calls.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> std::io::Result<RequestOutcome> {
-    let mut parser = RequestParser::new();
-    let mut budget = TimeoutBudget::new();
-    loop {
-        match parser.next_request() {
-            Ok(Some(request)) => return Ok(RequestOutcome::Request(request)),
-            Ok(None) => {}
-            Err(e) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    e.to_string(),
-                ))
-            }
-        }
-        // injectable read seam (same site as the event loop's socket fill)
-        if let Some(fault) = tsg_faults::net_fault(tsg_faults::Site::ConnRead) {
-            match fault {
-                tsg_faults::NetFault::Interrupt | tsg_faults::NetFault::Short => continue,
-                tsg_faults::NetFault::WouldBlock => {
-                    if !parser.has_buffered_bytes() {
-                        return Ok(RequestOutcome::Idle);
-                    }
-                    if budget.tolerates_timeout() {
-                        continue;
-                    }
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        "injected timeout (tsg_faults)",
-                    ));
-                }
-                tsg_faults::NetFault::Reset | tsg_faults::NetFault::Err => {
-                    if let Some(e) = fault.to_error() {
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        let n = match reader.fill_buf() {
-            Ok([]) => {
-                return if parser.has_buffered_bytes() {
-                    Err(bad_request("connection closed mid-request"))
-                } else {
-                    Ok(RequestOutcome::Closed)
-                };
-            }
-            Ok(chunk) => {
-                budget.start();
-                parser.push(chunk);
-                chunk.len()
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) if is_timeout(&e) => {
-                if !parser.has_buffered_bytes() {
-                    return Ok(RequestOutcome::Idle);
-                }
-                if budget.tolerates_timeout() {
-                    continue;
-                }
-                return Err(e);
-            }
-            Err(e) => return Err(e),
-        };
-        reader.consume(n);
-    }
-}
 
 fn bad_request(message: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, message.to_string())
-}
-
-/// Whether an I/O error is a read timeout (platform-dependent kind).
-pub fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
 }
 
 /// An HTTP response ready to be written to a stream.
@@ -466,12 +349,6 @@ impl Response {
         let mut out = head.into_bytes();
         out.extend_from_slice(&self.body);
         out
-    }
-
-    /// Writes the response on a blocking stream (client/test convenience).
-    pub fn write_to(&self, stream: &mut TcpStream, keep_alive: bool) -> std::io::Result<()> {
-        stream.write_all(&self.serialize(keep_alive))?;
-        stream.flush()
     }
 }
 
@@ -586,49 +463,32 @@ mod tests {
         parser.next_request()
     }
 
-    /// Drives `read_request` over a real socket pair.
-    fn parse_raw(raw: &[u8]) -> std::io::Result<RequestOutcome> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let raw = raw.to_vec();
-        let writer = std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            stream.write_all(&raw).unwrap();
-        });
-        let (stream, _) = listener.accept().unwrap();
-        let mut reader = BufReader::new(stream);
-        let outcome = read_request(&mut reader);
-        writer.join().unwrap();
-        outcome
-    }
-
     #[test]
     fn parses_post_with_body() {
         let raw = b"POST /models/m/classify HTTP/1.1\r\nHost: x\r\nContent-Length: 15\r\n\r\n{\"series\": [[]]}";
         // note: Content-Length intentionally one short of the full body to
         // check exact-length reads; 15 bytes of the 16-byte body
-        match parse_raw(raw).unwrap() {
-            RequestOutcome::Request(r) => {
-                assert_eq!(r.method, "POST");
-                assert_eq!(r.path, "/models/m/classify");
-                assert_eq!(r.body.len(), 15);
-                assert!(r.keep_alive());
-            }
-            other => panic!("unexpected outcome {other:?}"),
-        }
+        let mut parser = RequestParser::new();
+        parser.push(raw);
+        let r = parser.next_request().unwrap().unwrap();
+        assert_eq!(r.method, "POST");
+        assert_eq!(r.path, "/models/m/classify");
+        assert_eq!(r.body.len(), 15);
+        assert!(r.keep_alive());
+        assert_eq!(
+            parser.buffered_bytes(),
+            1,
+            "the extra byte starts the next request"
+        );
     }
 
     #[test]
     fn query_string_is_stripped_and_close_honoured() {
         let raw = b"GET /metrics?verbose=1 HTTP/1.1\r\nConnection: close\r\n\r\n";
-        match parse_raw(raw).unwrap() {
-            RequestOutcome::Request(r) => {
-                assert_eq!(r.path, "/metrics");
-                assert_eq!(r.query, "verbose=1");
-                assert!(!r.keep_alive());
-            }
-            other => panic!("unexpected outcome {other:?}"),
-        }
+        let r = parse_bytes(raw).unwrap().unwrap();
+        assert_eq!(r.path, "/metrics");
+        assert_eq!(r.query, "verbose=1");
+        assert!(!r.keep_alive());
     }
 
     #[test]
@@ -744,39 +604,53 @@ mod tests {
 
     #[test]
     fn slow_sender_within_budget_is_not_cut_off() {
-        // the socket read timeout is much shorter than the sender's stall;
-        // the per-request budget must carry the read across it
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let writer = std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            stream
-                .write_all(b"POST /x HTTP/1.1\r\nContent-Length: 4\r\n\r\nab")
-                .unwrap();
-            std::thread::sleep(Duration::from_millis(150));
-            stream.write_all(b"cd").unwrap();
-        });
-        let (stream, _) = listener.accept().unwrap();
+        // the body stalls across several event-loop ticks (and so several
+        // timeout sweeps); the per-request budget must carry it through
+        let server = crate::server::Server::bind(crate::server::ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            n_threads: 1,
+            request_budget: Duration::from_secs(5),
+            ..Default::default()
+        })
+        .unwrap();
+        let addr = server.local_addr().unwrap();
+        let shutdown = server.shutdown_handle();
+        let running = std::thread::spawn(move || server.run());
+        let mut stream = TcpStream::connect(addr).unwrap();
         stream
-            .set_read_timeout(Some(Duration::from_millis(20)))
+            .write_all(b"GET /healthz HTTP/1.1\r\nContent-Length: 4\r\n\r\nab")
             .unwrap();
-        let mut reader = BufReader::new(stream);
-        match read_request(&mut reader).unwrap() {
-            RequestOutcome::Request(r) => assert_eq!(r.body, b"abcd"),
-            other => panic!("unexpected outcome {other:?}"),
-        }
-        writer.join().unwrap();
+        std::thread::sleep(Duration::from_millis(350));
+        stream.write_all(b"cd").unwrap();
+        let (status, _) = read_response(&mut BufReader::new(stream)).unwrap();
+        assert_eq!(status, 200);
+        shutdown.shutdown();
+        running.join().unwrap().unwrap();
     }
 
     #[test]
     fn eof_before_request_is_closed() {
-        assert!(matches!(parse_raw(b"").unwrap(), RequestOutcome::Closed));
+        // at EOF the event loop closes cleanly only when no request has
+        // started; buffered bytes mean the peer hung up mid-request
+        let mut parser = RequestParser::new();
+        assert!(matches!(parser.next_request(), Ok(None)));
+        assert!(!parser.has_buffered_bytes());
+        parser.push(b"GET /healthz HTTP/1.1\r\n");
+        assert!(matches!(parser.next_request(), Ok(None)));
+        assert!(parser.has_buffered_bytes());
     }
 
     #[test]
     fn rejects_bad_version_and_bad_length() {
-        assert!(parse_raw(b"GET / SPDY/3\r\n\r\n").is_err());
-        assert!(parse_raw(b"GET / HTTP/1.1\r\nContent-Length: nope\r\n\r\n").is_err());
+        for raw in [
+            &b"GET / SPDY/3\r\n\r\n"[..],
+            b"GET / HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
+        ] {
+            match parse_bytes(raw) {
+                Err(e @ ParseError::Malformed(_)) => assert_eq!(e.status(), 400),
+                other => panic!("{:?} accepted: {other:?}", String::from_utf8_lossy(raw)),
+            }
+        }
     }
 
     #[test]
@@ -785,17 +659,23 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let outcome = read_request(&mut reader).unwrap();
-            let RequestOutcome::Request(request) = outcome else {
-                panic!("expected request");
+            let mut parser = RequestParser::new();
+            let mut chunk = [0u8; 256];
+            let request = loop {
+                if let Some(request) = parser.next_request().unwrap() {
+                    break request;
+                }
+                let n = stream.read(&mut chunk).unwrap();
+                assert!(n > 0, "client hung up mid-request");
+                parser.push(&chunk[..n]);
             };
             assert_eq!(
                 request.json_body().unwrap().get("x").unwrap().as_f64(),
                 Some(2.0)
             );
-            Response::json(200, &Json::obj(vec![("ok", Json::Bool(true))]))
-                .write_to(&mut stream, request.keep_alive())
+            let response = Response::json(200, &Json::obj(vec![("ok", Json::Bool(true))]));
+            stream
+                .write_all(&response.serialize(request.keep_alive()))
                 .unwrap();
         });
         let mut stream = TcpStream::connect(addr).unwrap();

@@ -19,7 +19,7 @@
 //! server answers `409 Conflict` instead of silently classifying with a
 //! different model.
 
-use crate::batcher::{BatchConfig, ClassifyError, ClassifyOutput, SharedBatcher};
+use crate::batcher::{BatchConfig, SharedBatcher};
 use crate::metrics::ServerMetrics;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,22 +124,9 @@ pub struct ModelEntry {
     /// Metadata (including the pinnable version).
     pub info: ModelInfo,
     model: Arc<MvgClassifier>,
-    batcher: Arc<SharedBatcher>,
 }
 
 impl ModelEntry {
-    /// Submits series for classification through the shared micro-batch
-    /// scheduler, blocking until the batch ran. In-process convenience; the
-    /// event loop submits asynchronously via [`SharedBatcher::submit`].
-    pub fn classify(
-        &self,
-        series: Vec<tsg_ts::TimeSeries>,
-        want_proba: bool,
-    ) -> Result<ClassifyOutput, ClassifyError> {
-        self.batcher
-            .classify(Arc::clone(&self.model), series, want_proba)
-    }
-
     /// The fitted classifier behind this entry.
     pub fn classifier(&self) -> &Arc<MvgClassifier> {
         &self.model
@@ -350,7 +337,6 @@ impl ModelRegistry {
         let entry = Arc::new(ModelEntry {
             info: info.clone(),
             model: Arc::new(clf),
-            batcher: Arc::clone(&self.batcher),
         });
         self.metrics.models_fitted_total.inc();
         // the replaced entry (if any) drops outside the lock; in-flight
@@ -449,7 +435,6 @@ impl ModelRegistry {
         let entry = Arc::new(ModelEntry {
             info: info.clone(),
             model: Arc::new(clf),
-            batcher: Arc::clone(&self.batcher),
         });
         self.models_write().insert(info.name.clone(), entry);
         Ok(info)
@@ -539,7 +524,10 @@ mod tests {
         );
         let entry = r.get("demo").unwrap();
         let series = vec![TimeSeries::new((0..64).map(|t| (t as f64).sin()).collect())];
-        let out = entry.classify(series, false).unwrap();
+        let out = r
+            .batcher()
+            .classify(Arc::clone(entry.classifier()), series, false)
+            .unwrap();
         assert_eq!(out.predictions.len(), 1);
         assert_eq!(r.list().len(), 1);
         assert!(r.remove("demo"));
@@ -611,7 +599,10 @@ mod tests {
         // a request that resolved `first` before the swap still classifies
         // with the old model — hot-swaps never change a resolved entry
         let series = vec![TimeSeries::new((0..64).map(|t| (t as f64).sin()).collect())];
-        let old = first.classify(series.clone(), false).unwrap();
+        let old = r
+            .batcher()
+            .classify(Arc::clone(first.classifier()), series.clone(), false)
+            .unwrap();
         let direct = first
             .classifier()
             .predict(&Dataset::from_series("q", series))

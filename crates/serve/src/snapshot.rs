@@ -26,13 +26,16 @@
 //! tree structure inside `tsg_core`/`tsg_ml` — a torn, truncated or
 //! bit-flipped snapshot is *detected* and reported, never served. Failure to
 //! read always degrades to a refit; the server can lose a snapshot but can
-//! never serve garbage from one.
+//! never serve garbage from one. The trailer's threat model is torn writes
+//! and bit rot, not an adversary crafting collisions in their own model
+//! files, so the workspace's FNV-1a is enough.
 
 use crate::registry::ModelInfo;
 use std::io;
 use std::path::{Path, PathBuf};
 use tsg_faults::{fsio, Site};
 use tsg_ml::snapshot::{put_blob, put_f64, put_str, put_u32, put_u64, put_u8, SnapReader};
+use tsg_ts::hash::Fnv1a;
 
 /// Format magic; the trailing byte doubles as the major format generation.
 const MAGIC: &[u8; 8] = b"TSGSNAP1";
@@ -44,18 +47,6 @@ const FORMAT_VERSION: u32 = 2;
 /// The previous layout (no `features` field), still readable.
 const FORMAT_VERSION_V1: u32 = 1;
 
-/// FNV-1a over `bytes` — the integrity trailer. A deliberately simple,
-/// dependency-free hash: the threat model is torn writes and bit rot, not an
-/// adversary crafting collisions in their own model files.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
 /// The snapshot file for a model name: a sanitised prefix for debuggability
 /// plus an FNV-1a hash of the full name for uniqueness (wire model names are
 /// arbitrary strings; the filesystem never sees them verbatim).
@@ -65,7 +56,7 @@ pub(crate) fn snapshot_path(dir: &Path, name: &str) -> PathBuf {
         .filter(|c| c.is_ascii_alphanumeric() || *c == '-' || *c == '_')
         .take(40)
         .collect();
-    dir.join(format!("{safe}-{:016x}.snap", fnv1a(name.as_bytes())))
+    dir.join(format!("{safe}-{:016x}.snap", Fnv1a::hash(name.as_bytes())))
 }
 
 /// Snapshot files under `dir`, sorted by path for a deterministic restore
@@ -123,7 +114,7 @@ pub(crate) fn write_snapshot(
         }
     }
     put_blob(&mut bytes, payload);
-    let hash = fnv1a(&bytes);
+    let hash = Fnv1a::hash(&bytes);
     put_u64(&mut bytes, hash);
 
     let path = snapshot_path(dir, &info.name);
@@ -172,7 +163,7 @@ pub(crate) fn read_snapshot(path: &Path) -> io::Result<(ModelInfo, u64, Vec<u8>)
     }
     let mut stored_hash = [0u8; 8];
     stored_hash.copy_from_slice(trailer);
-    if u64::from_le_bytes(stored_hash) != fnv1a(body) {
+    if u64::from_le_bytes(stored_hash) != Fnv1a::hash(body) {
         return Err(corrupt("content hash mismatch (torn or corrupt file)"));
     }
     let version = r.u32().ok_or_else(|| corrupt("truncated version"))?;
@@ -322,7 +313,7 @@ mod tests {
         put_str(&mut bytes, "cached");
         // v1 ends here: no features flag before the payload
         put_blob(&mut bytes, &payload);
-        let hash = fnv1a(&bytes);
+        let hash = Fnv1a::hash(&bytes);
         put_u64(&mut bytes, hash);
         let path = dir.join("legacy.snap");
         std::fs::write(&path, &bytes).unwrap();
@@ -369,6 +360,12 @@ mod tests {
         assert_ne!(a, b, "distinct names must not collide");
         // same name → same path (refits overwrite in place)
         assert_eq!(snapshot_path(&dir, "m"), snapshot_path(&dir, "m"));
+        // and across versions: a warm restart finds the file an older build
+        // wrote only if the name hash never changes
+        assert_eq!(
+            snapshot_path(&dir, "demo/model name!"),
+            dir.join("demomodelname-a60f77fae7cc87be.snap")
+        );
     }
 
     #[test]

@@ -20,10 +20,13 @@
 //!   synthetic stand-in for the UCR archive.
 //! * [`io`] — reading and writing the UCR archive text format.
 //! * [`preprocess`] — z-normalisation, min-max scaling, detrending.
+//! * [`hash`] — FNV-1a, the stable content hash behind dataset seeds,
+//!   provenance, config fingerprints and model snapshots.
 
 pub mod distance;
 pub mod error;
 pub mod generators;
+pub mod hash;
 pub mod io;
 pub mod multiscale;
 pub mod paa;
