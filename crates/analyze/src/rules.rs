@@ -84,7 +84,7 @@ pub const REQUEST_PATH_FILES: &[(&str, &str)] = &[
     ("tsg_trace", "src/lib.rs"),
 ];
 
-/// Files whose file I/O must flow through the [`tsg_faults::fsio`] seam so
+/// Files whose file I/O must flow through the `tsg_faults::fsio` seam so
 /// deterministic fault schedules can reach every open/write/sync/rename of
 /// the storage paths (the dataset cache and the model snapshot store).
 pub const FAULT_SEAM_FILES: &[(&str, &str)] = &[

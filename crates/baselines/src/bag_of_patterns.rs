@@ -5,7 +5,7 @@
 //! (Euclidean distance over the joint vocabulary).
 //!
 //! Histograms are `BTreeMap`s so the summation order inside
-//! [`BagOfPatterns::distance`] is the sorted word order — distances are
+//! `BagOfPatterns::distance` is the sorted word order — distances are
 //! bit-deterministic across runs and thread counts, which `HashMap`'s
 //! per-process hasher seed would break.
 

@@ -40,33 +40,21 @@ impl NnDistance {
 #[derive(Debug, Clone)]
 pub struct NnClassifier {
     distance: NnDistance,
-    znormalize: bool,
     train: Vec<(Vec<f64>, usize)>,
 }
 
 impl NnClassifier {
     /// Creates a classifier with the given distance. Series are z-normalised
-    /// by default (the UCR convention).
+    /// (the UCR convention).
     pub fn new(distance: NnDistance) -> Self {
         NnClassifier {
             distance,
-            znormalize: true,
             train: Vec::new(),
         }
     }
 
-    /// Disables z-normalisation (for data that is already normalised).
-    pub fn without_znormalization(mut self) -> Self {
-        self.znormalize = false;
-        self
-    }
-
     fn prepare(&self, series: &TimeSeries) -> Vec<f64> {
-        if self.znormalize {
-            tsg_ts::preprocess::znormalize(series.values())
-        } else {
-            series.values().to_vec()
-        }
+        tsg_ts::preprocess::znormalize(series.values())
     }
 }
 

@@ -7,10 +7,15 @@
 //! be randomly oversampled before training, as the paper does for imbalanced
 //! datasets.
 
-use crate::extractor::{extract_dataset_features, FeatureConfig};
+use crate::extractor::{
+    extract_dataset_features, extract_row_traced, extract_rows, FeatureColumn, FeatureConfig,
+};
 use crate::importance::{rank_features, FeatureImportance};
+use crate::trace::TraceSink;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::borrow::Borrow;
+use tsg_graph::motifs::MotifWorkspace;
 use tsg_ml::data::{random_oversample, FeatureMatrix};
 use tsg_ml::forest::{RandomForest, RandomForestParams};
 use tsg_ml::gbt::{GradientBoosting, GradientBoostingParams};
@@ -20,7 +25,7 @@ use tsg_ml::stacking::{StackingEnsemble, StackingParams};
 use tsg_ml::svm::{SvmClassifier, SvmKernel, SvmParams};
 use tsg_ml::traits::Classifier;
 use tsg_ml::{GridSearch, MlError};
-use tsg_ts::Dataset;
+use tsg_ts::{Dataset, TimeSeries};
 
 /// Which classifier family consumes the extracted features.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,6 +132,8 @@ pub struct MvgClassifier {
     model: Option<Box<dyn Classifier>>,
     scaler: Option<MinMaxScaler>,
     feature_names: Vec<String>,
+    /// `feature_names`, parsed once: the layout of every row it predicts.
+    layout: Vec<Option<FeatureColumn>>,
     gbt_importance: Vec<f64>,
     n_classes: usize,
 }
@@ -139,6 +146,7 @@ impl MvgClassifier {
             model: None,
             scaler: None,
             feature_names: Vec::new(),
+            layout: Vec::new(),
             gbt_importance: Vec::new(),
             n_classes: 0,
         }
@@ -159,11 +167,37 @@ impl MvgClassifier {
         self.n_classes
     }
 
-    /// Extracts the feature matrix of a dataset under this classifier's
+    /// Extracts the raw feature matrix of a dataset under this classifier's
     /// feature configuration (exposed for experiments that reuse features
-    /// across classifier families).
+    /// across classifier families): in the training layout once fitted,
+    /// whatever the dataset's lengths, as [`extract_dataset_features`] before.
     pub fn extract_features(&self, dataset: &Dataset) -> (FeatureMatrix, Vec<String>) {
-        extract_dataset_features(dataset, &self.config.features, self.config.n_threads)
+        if self.model.is_none() {
+            return extract_dataset_features(dataset, &self.config.features, self.config.n_threads);
+        }
+        let rows = self.extract_rows(dataset);
+        let matrix = FeatureMatrix::from_rows(&rows).expect("rows share the model's layout");
+        (matrix, self.feature_names.clone())
+    }
+
+    /// The raw feature rows of a dataset in this model's layout.
+    fn extract_rows(&self, dataset: &Dataset) -> Vec<Vec<f64>> {
+        let (config, n_threads) = (&self.config.features, self.config.n_threads);
+        extract_rows(dataset.series(), config, &self.layout, n_threads)
+    }
+
+    /// The raw feature row of one series, gathered by the training names
+    /// (`0.0` for a scale the series lacks): the serving extraction path,
+    /// on a caller-held `workspace` and traced into `sink` as in
+    /// [`crate::extract_series_features_traced`].
+    pub fn extract_row_traced<S: TraceSink>(
+        &self,
+        series: &TimeSeries,
+        workspace: &mut MotifWorkspace,
+        sink: &mut S,
+    ) -> Vec<f64> {
+        let layout = Some(self.layout.as_slice());
+        extract_row_traced(series, &self.config.features, layout, workspace, sink)
     }
 
     fn build_grid(&self) -> GridSearch {
@@ -248,9 +282,6 @@ impl MvgClassifier {
 
     /// Fits the pipeline on a labeled training dataset.
     pub fn fit(&mut self, train: &Dataset) -> crate::Result<()> {
-        if train.is_empty() {
-            return Err(MlError::InvalidData("training dataset is empty".into()));
-        }
         if let Some(selection) = &self.config.features.selection {
             selection
                 .validate(&self.config.features)
@@ -259,14 +290,38 @@ impl MvgClassifier {
         let labels = train
             .labels_required()
             .map_err(|e| MlError::InvalidData(e.to_string()))?;
-        let (features, names) = self.extract_features(train);
-        self.feature_names = names;
+        let (features, names) =
+            extract_dataset_features(train, &self.config.features, self.config.n_threads);
+        self.fit_features(features, names, &labels)
+    }
+
+    /// The half of [`MvgClassifier::fit`] after extraction: fits the scaler
+    /// and the model on raw feature rows whose columns are `names`. The rows
+    /// this model extracts from then on take the layout of `names`. An owned
+    /// matrix is freed before the model fit; a borrowed one stays with the
+    /// caller.
+    pub fn fit_features(
+        &mut self,
+        features: impl Borrow<FeatureMatrix>,
+        names: Vec<String>,
+        labels: &[usize],
+    ) -> crate::Result<()> {
+        if labels.is_empty() {
+            return Err(MlError::InvalidData("training dataset is empty".into()));
+        }
+        let raw = features.borrow();
+        if raw.n_cols() != names.len() || raw.n_rows() != labels.len() {
+            return Err(MlError::InvalidData(
+                "one name per column, one label per row".into(),
+            ));
+        }
+        self.set_feature_names(names)?;
         // min-max scale: harmless for trees, required for SVM
-        let (scaler, mut x) = MinMaxScaler::fit_transform(&features)?;
-        // the unscaled copy is dead from here; free it before the model fit
+        let (scaler, mut x) = MinMaxScaler::fit_transform(raw)?;
+        // an owned unscaled copy is dead from here; free it before the fit
         drop(features);
         self.scaler = Some(scaler);
-        let mut y = labels;
+        let mut y = labels.to_vec();
         if self.config.oversample {
             let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
             let indices = random_oversample(&y, &mut rng);
@@ -310,42 +365,33 @@ impl MvgClassifier {
         Ok(())
     }
 
-    fn transform(&self, dataset: &Dataset) -> crate::Result<FeatureMatrix> {
-        let (features, _) = self.extract_features(dataset);
-        let rows: Vec<Vec<f64>> = features.rows().map(|r| r.to_vec()).collect();
-        self.transform_rows(&rows)
+    /// Takes `names` as the training layout; each must be in the catalogue.
+    fn set_feature_names(&mut self, names: Vec<String>) -> crate::Result<()> {
+        self.layout = self.config.features.row_layout(&names);
+        self.feature_names = names;
+        if self.layout.contains(&None) {
+            return Err(MlError::InvalidData(
+                "feature name outside the catalogue".into(),
+            ));
+        }
+        Ok(())
     }
 
-    /// Pads/truncates raw (unscaled) feature rows to the training width and
-    /// applies the fitted scaler. Rows must come from this classifier's
-    /// [`FeatureConfig`](crate::FeatureConfig) (e.g. via
-    /// [`crate::extract_series_features_traced`], whose one extraction body
-    /// gathers a pruned row from the wide one).
+    /// Scales raw feature rows in this model's layout with the fitted scaler;
+    /// a row of another width is rejected, not repaired.
     fn transform_rows(&self, rows: &[Vec<f64>]) -> crate::Result<FeatureMatrix> {
         let scaler = self.scaler.as_ref().ok_or(MlError::NotFitted)?;
-        // pad/truncate to the training width (different-length test series)
-        let width = self.feature_names.len();
-        let mut data = Vec::with_capacity(rows.len() * width);
-        for row in rows {
-            let keep = row.len().min(width);
-            data.extend_from_slice(&row[..keep]);
-            data.resize(data.len() + width - keep, 0.0);
-        }
-        // no rows keep the empty 0x0 shape, which the scaler rejects
-        let width = if rows.is_empty() { 0 } else { width };
-        let matrix = FeatureMatrix::from_flat(data, rows.len(), width)?;
-        scaler.transform(&matrix)
+        scaler.transform(&FeatureMatrix::from_rows(rows)?)
     }
 
-    /// Predicts labels from pre-extracted raw feature rows (one per series,
-    /// as produced by [`crate::extract_series_features`] under this
-    /// classifier's feature configuration).
+    /// Predicts labels from raw feature rows, one per series, as
+    /// [`MvgClassifier::extract_row_traced`] extracts them.
     ///
     /// This is the serving batch path: a caller that extracts features on its
     /// own worker pool — reusing per-worker motif workspaces — gets
     /// bit-identical predictions to [`MvgClassifier::predict`], because both
-    /// paths pad to the training width, scale with the fitted scaler and run
-    /// the same model.
+    /// paths gather the training layout by name, scale with the fitted
+    /// scaler and run the same model.
     pub fn predict_from_feature_rows(&self, rows: Vec<Vec<f64>>) -> crate::Result<Vec<usize>> {
         Ok(self.predict_feature_rows(&rows, false)?.0)
     }
@@ -365,8 +411,8 @@ impl MvgClassifier {
     }
 
     /// Labels, and probabilities when `with_proba` is set, from borrowed
-    /// pre-extracted raw feature rows, padding and scaling the rows only
-    /// once — the serving batch path. Results are identical to
+    /// pre-extracted raw feature rows in this model's layout, scaling the
+    /// rows only once — the serving batch path. Results are identical to
     /// [`MvgClassifier::predict_from_feature_rows`] and
     /// [`MvgClassifier::predict_proba_from_feature_rows`]; the caller keeps
     /// the rows, e.g. to retry a failed batch request by request.
@@ -392,15 +438,13 @@ impl MvgClassifier {
     /// Predicts labels for a dataset.
     pub fn predict(&self, dataset: &Dataset) -> crate::Result<Vec<usize>> {
         let model = self.model.as_ref().ok_or(MlError::NotFitted)?;
-        let x = self.transform(dataset)?;
-        model.predict(&x)
+        model.predict(&self.transform_rows(&self.extract_rows(dataset))?)
     }
 
     /// Predicts class probabilities for a dataset.
     pub fn predict_proba(&self, dataset: &Dataset) -> crate::Result<Vec<Vec<f64>>> {
         let model = self.model.as_ref().ok_or(MlError::NotFitted)?;
-        let x = self.transform(dataset)?;
-        model.predict_proba(&x)
+        model.predict_proba(&self.transform_rows(&self.extract_rows(dataset))?)
     }
 
     /// Accuracy on a labeled dataset.
@@ -448,6 +492,36 @@ impl MvgClassifier {
         let mut config = self.config.clone();
         config.features.selection = Some(selection);
         Ok(config)
+    }
+
+    /// [`MvgClassifier::pruned_config`]`(k)`, fitted on the selected columns
+    /// of the raw matrix this model was fitted on, without extracting again.
+    /// Bit-identical to fitting that configuration on the training set:
+    /// pruned extraction is a column gather of wide extraction, min-max
+    /// scaling is per column, and oversampling reads only seed and labels.
+    pub fn refit_pruned(
+        &self,
+        k: usize,
+        features: &FeatureMatrix,
+        labels: &[usize],
+    ) -> crate::Result<MvgClassifier> {
+        if features.n_cols() != self.feature_names.len() {
+            return Err(MlError::InvalidData(
+                "features are not in this model's layout".into(),
+            ));
+        }
+        let config = self.pruned_config(k)?;
+        let selection = config.features.selection.as_ref();
+        let names = selection.map_or_else(Vec::new, |s| s.names().to_vec());
+        let position = |n: &String| self.feature_names.iter().position(|w| w == n);
+        let columns: Vec<usize> = names.iter().filter_map(position).collect();
+        let data = features
+            .rows()
+            .flat_map(|row| columns.iter().map(|&j| row[j]));
+        let pruned = FeatureMatrix::from_flat(data.collect(), features.n_rows(), columns.len())?;
+        let mut refit = MvgClassifier::new(config);
+        refit.fit_features(pruned, names, labels)?;
+        Ok(refit)
     }
 
     /// FNV-1a fingerprint of the behaviour-relevant configuration fields:
@@ -527,14 +601,17 @@ impl MvgClassifier {
         if !r.is_empty() || model.n_classes() != n_classes {
             return Err(corrupt());
         }
-        Ok(MvgClassifier {
-            config,
+        let mut restored = MvgClassifier {
             model: Some(model),
             scaler: Some(scaler),
-            feature_names,
             gbt_importance,
             n_classes,
-        })
+            ..MvgClassifier::new(config)
+        };
+        restored
+            .set_feature_names(feature_names)
+            .map_err(|_| corrupt())?;
+        Ok(restored)
     }
 }
 
@@ -688,6 +765,13 @@ mod tests {
             .predict_from_feature_rows(Vec::new())
             .unwrap()
             .is_empty());
+        // a row of another width is rejected, never padded or truncated
+        let mut short = rows.clone();
+        short[1].pop();
+        assert!(clf.predict_feature_rows(&short, false).is_err());
+        let mut long = rows;
+        long[0].push(0.0);
+        assert!(clf.predict_feature_rows(&long, false).is_err());
     }
 
     #[test]

@@ -12,13 +12,14 @@
 //! [`FeatureMatrix`] (in parallel), producing the input of the generic
 //! classifiers.
 //!
-//! One body serves both. It resolves every selected name to its position
-//! in the wide vector at the series' length, computes only the graphs,
-//! motif censuses and statistical families those positions touch (all of
-//! them without a selection), fills a wide buffer in the order wide
-//! extraction computes it, and returns that buffer or gathers the selected
-//! columns from it. Pruned extraction is therefore a column gather of wide
-//! extraction by construction, bit for bit (pinned by
+//! One body serves both. Every row it returns is the gather of a list of
+//! feature names, parsed once: a dataset's rows take the names at its
+//! longest series, a fitted model's its training names, a pruned row its
+//! selection. Per series, the body computes only the graphs, motif censuses
+//! and statistical families those names touch into a wide buffer, in the
+//! order wide extraction computes it, and gathers the named columns from it
+//! (`0.0` for a scale the series lacks). Pruned extraction is therefore a
+//! column gather of wide extraction by construction, bit for bit (pinned by
 //! `tests/determinism.rs`).
 
 use crate::catalogue::{
@@ -269,12 +270,23 @@ impl FeatureConfig {
         })
     }
 
-    /// The position of `name` in the wide vector whose graph blocks cover
-    /// `scales` (the scale indices at one series length); `None` for an
-    /// unknown name or a scale that length does not produce.
-    fn wide_position(&self, name: &str, scales: &[usize]) -> Option<usize> {
+    /// The row layout of the attached selection, if any.
+    fn selection_layout(&self) -> Option<Vec<Option<FeatureColumn>>> {
+        Some(self.row_layout(self.selection.as_ref()?.names()))
+    }
+
+    /// The row layout of `names`: each name parsed once into the wide
+    /// column it denotes, `None` for a name outside this catalogue.
+    pub(crate) fn row_layout(&self, names: &[String]) -> Vec<Option<FeatureColumn>> {
+        names.iter().map(|n| self.parse_feature_name(n)).collect()
+    }
+
+    /// The position of `column` in the wide vector whose graph blocks cover
+    /// `scales` (the scale indices at one series length); `None` for a
+    /// scale that length does not produce.
+    fn wide_position(&self, column: FeatureColumn, scales: &[usize]) -> Option<usize> {
         let block = block_len(self.include_other_stats);
-        Some(match self.parse_feature_name(name)? {
+        Some(match column {
             FeatureColumn::Graph { scale, kind, entry } => {
                 let slot = scales.iter().position(|&s| s == scale)?;
                 (slot * self.kinds.len() + kind) * block + entry
@@ -285,7 +297,8 @@ impl FeatureConfig {
 }
 
 /// Where a wide feature name points, independent of the series length.
-enum FeatureColumn {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum FeatureColumn {
     /// Entry `entry` of the block of `kinds[kind]` at scale `scale`.
     Graph {
         scale: usize,
@@ -296,13 +309,26 @@ enum FeatureColumn {
     Stat(usize),
 }
 
+/// One parsed column per feature name (see [`FeatureConfig::row_layout`]).
+pub(crate) type RowLayout = [Option<FeatureColumn>];
+
 /// Extracts the feature vector of one series under `config` (Algorithm 1),
 /// reusing the calling thread's motif workspace (the thread-local inside
 /// [`tsg_graph::motifs::count_motifs`]).
 pub fn extract_series_features(series: &TimeSeries, config: &FeatureConfig) -> Vec<f64> {
-    extract_features_impl(series, config, &mut NoopTraceSink, |graph, _| {
-        count_motifs(graph)
-    })
+    let layout = config.selection_layout();
+    extract_features_impl(
+        series,
+        config,
+        layout.as_deref(),
+        &mut NoopTraceSink,
+        census,
+    )
+}
+
+/// The motif census on the calling thread's workspace, untraced.
+fn census(graph: &Graph, _: &mut NoopTraceSink) -> MotifCounts {
+    count_motifs(graph)
 }
 
 /// [`extract_series_features`] with a caller-held motif workspace (the
@@ -319,7 +345,20 @@ pub fn extract_series_features_traced<S: TraceSink>(
     workspace: &mut MotifWorkspace,
     sink: &mut S,
 ) -> Vec<f64> {
-    extract_features_impl(series, config, sink, |graph, sink| {
+    let layout = config.selection_layout();
+    extract_row_traced(series, config, layout.as_deref(), workspace, sink)
+}
+
+/// The row of `series` in `layout` (`None`: the wide row at its own
+/// length) on a caller-held workspace, traced into `sink`.
+pub(crate) fn extract_row_traced<S: TraceSink>(
+    series: &TimeSeries,
+    config: &FeatureConfig,
+    layout: Option<&RowLayout>,
+    workspace: &mut MotifWorkspace,
+    sink: &mut S,
+) -> Vec<f64> {
+    extract_features_impl(series, config, layout, sink, |graph, sink| {
         sink.enter(ExtractStage::MotifCount);
         let counts = count_motifs_with(graph, workspace);
         sink.exit(ExtractStage::MotifCount);
@@ -329,13 +368,14 @@ pub fn extract_series_features_traced<S: TraceSink>(
 
 /// The one extraction body. Every graph block of the scale cascade
 /// (scale-then-kind order) and then the statistical layer is computed into
-/// a wide buffer, skipping the graphs, censuses and families no selected
-/// column reads; the result is the buffer itself, or the selected columns
-/// gathered from it, with `0.0` for a name whose scale this series length
+/// a wide buffer, skipping the graphs, censuses and families no column of
+/// `layout` reads; the result is the buffer itself, or the layout's columns
+/// gathered from it, with `0.0` for a column whose scale this series length
 /// does not produce.
 fn extract_features_impl<S: TraceSink>(
     series: &TimeSeries,
     config: &FeatureConfig,
+    layout: Option<&RowLayout>,
     sink: &mut S,
     mut census: impl FnMut(&Graph, &mut S) -> MotifCounts,
 ) -> Vec<f64> {
@@ -350,18 +390,16 @@ fn extract_features_impl<S: TraceSink>(
     let scales: Vec<usize> = scale_values.iter().map(|(scale, _)| *scale).collect();
     let block = block_len(config.include_other_stats);
     let n_graph = scales.len() * config.kinds.len() * block;
-    let selected: Option<Vec<Option<usize>>> = config.selection.as_ref().map(|selection| {
-        let names = selection.names();
-        names
+    let positions: Option<Vec<Option<usize>>> = layout.map(|columns| {
+        columns
             .iter()
-            .map(|n| config.wide_position(n, &scales))
+            .map(|c| c.and_then(|c| config.wide_position(c, &scales)))
             .collect()
     });
-    let mut needed = vec![selected.is_none(); n_graph + config.statistical.n_features()];
-    for &position in selected.iter().flatten().flatten() {
+    let mut needed = vec![positions.is_none(); n_graph + config.statistical.n_features()];
+    for &position in positions.iter().flatten().flatten() {
         needed[position] = true;
     }
-
     let mut wide = vec![0.0; needed.len()];
     let (graph_out, stat_out) = wide.split_at_mut(n_graph);
     let (graph_needed, stat_needed) = needed.split_at(n_graph);
@@ -401,7 +439,7 @@ fn extract_features_impl<S: TraceSink>(
         sink.exit(ExtractStage::Statistical);
     }
 
-    match selected {
+    match positions {
         None => wide,
         Some(positions) => positions
             .iter()
@@ -413,36 +451,33 @@ fn extract_features_impl<S: TraceSink>(
 /// Extracts features for every series of a dataset, in parallel, and returns
 /// the feature matrix together with the matching feature names.
 ///
-/// Rows are padded with zeros (or truncated) to the width implied by the
-/// longest series in the dataset, so datasets with slightly varying lengths
-/// still produce a rectangular matrix. Each pool worker reuses one
-/// thread-local [`MotifWorkspace`] across every series it claims; the
-/// workspace never influences results (`tests/determinism.rs` pins
-/// reused == fresh bit-for-bit), only allocation traffic.
+/// Every row is gathered by the names at the longest series (or by the
+/// selection), so a shorter series reads `0.0` for a scale it lacks. Each
+/// pool worker reuses one thread-local [`MotifWorkspace`] across every
+/// series it claims; the workspace never influences results
+/// (`tests/determinism.rs` pins reused == fresh bit-for-bit), only
+/// allocation traffic.
 pub fn extract_dataset_features(
     dataset: &Dataset,
     config: &FeatureConfig,
     n_threads: usize,
 ) -> (FeatureMatrix, Vec<String>) {
-    let max_len = dataset.max_length();
-    let names = config.feature_names_for_length(max_len);
-    let rows = padded_rows(dataset.series(), config, names.len(), n_threads);
-    let matrix = FeatureMatrix::from_rows(&rows).expect("uniform feature rows");
+    let names = config.feature_names_for_length(dataset.max_length());
+    let layout = config.row_layout(&names);
+    let rows = extract_rows(dataset.series(), config, &layout, n_threads);
+    let matrix = FeatureMatrix::from_rows(&rows).expect("rows share the layout's width");
     (matrix, names)
 }
 
-/// The feature rows of `series`, extracted in parallel and zero-padded (or
-/// truncated) to `width`.
-fn padded_rows(
+/// The rows of `series` in `layout`, extracted in parallel.
+pub(crate) fn extract_rows(
     series: &[TimeSeries],
     config: &FeatureConfig,
-    width: usize,
+    layout: &RowLayout,
     n_threads: usize,
 ) -> Vec<Vec<f64>> {
     parallel_map(series, n_threads, |series| {
-        let mut f = extract_series_features(series, config);
-        f.resize(width, 0.0);
-        f
+        extract_features_impl(series, config, Some(layout), &mut NoopTraceSink, census)
     })
 }
 
@@ -483,9 +518,9 @@ impl StreamedFeatures {
 /// memory is `O(chunk)` series plus the growing feature matrix, never the
 /// whole `Vec<TimeSeries>`. `max_length` is the maximum series length of the
 /// split (streams know it up front) and determines the row width, exactly as
-/// `dataset.max_length()` does on the eager path; shorter feature rows are
-/// zero-padded identically, so **streaming and eager extraction are
-/// bit-identical** for the same input series (pinned by
+/// `dataset.max_length()` does on the eager path; every row is gathered by
+/// name into that layout identically, so **streaming and eager extraction
+/// are bit-identical** for the same input series (pinned by
 /// `tests/determinism.rs` and the conformance suite).
 ///
 /// The first `Err` yielded by the stream aborts extraction and is returned.
@@ -497,6 +532,7 @@ pub fn extract_features_streaming<E>(
 ) -> std::result::Result<StreamedFeatures, E> {
     let names = config.feature_names_for_length(max_length);
     let width = names.len();
+    let layout = config.row_layout(&names);
     // chunks sized a few multiples of the worker count keep every worker
     // busy (the pool sub-chunks dynamically) while bounding residency
     let chunk_capacity = tsg_parallel::resolve_threads(n_threads).max(1) * 16;
@@ -504,7 +540,7 @@ pub fn extract_features_streaming<E>(
     let mut flat: Vec<f64> = Vec::new();
     let mut buffer: Vec<TimeSeries> = Vec::with_capacity(chunk_capacity);
     let flush = |buffer: &mut Vec<TimeSeries>, flat: &mut Vec<f64>| {
-        for row in padded_rows(buffer, config, width, n_threads) {
+        for row in extract_rows(buffer, config, &layout, n_threads) {
             flat.extend_from_slice(&row);
         }
         buffer.clear();
@@ -727,8 +763,9 @@ mod tests {
             for len in [8usize, 33, 140, 500] {
                 let scales = config.scale_indices_for_length(len);
                 for (i, name) in config.feature_names_for_length(len).iter().enumerate() {
+                    let column = config.parse_feature_name(name).unwrap();
                     assert_eq!(
-                        config.wide_position(name, &scales),
+                        config.wide_position(column, &scales),
                         Some(i),
                         "config {} length {len}: {name}",
                         config.label()

@@ -96,12 +96,13 @@ pub fn write_ucr_fixture_tree(
 }
 
 /// Deterministic variable-length series: lengths differ per instance, so the
-/// writer must pad with NaN and the reader must strip it again.
+/// writer must pad with NaN and the reader must strip it again. They span
+/// one to three PAA scales at the default `τ = 15`.
 fn varlen_dataset(split: &str, n: usize) -> Dataset {
     let mut d = Dataset::new(format!("{VARLEN_FIXTURE}_{split}"));
     for i in 0..n {
         let label = i % 2;
-        let len = 40 + (i * 7) % 24; // 40..64, varies per instance
+        let len = 24 + (i * 13) % 48; // 24..72, varies per instance
         let values = (0..len)
             .map(|t| {
                 let t = t as f64;

@@ -286,12 +286,6 @@ impl DatasetSource {
         self
     }
 
-    /// Enables / disables the on-disk cache for synthetic fallbacks.
-    pub fn with_cache(mut self, use_cache: bool) -> Self {
-        self.use_cache = use_cache;
-        self
-    }
-
     /// The UCR directory in effect, if any.
     pub fn ucr_dir(&self) -> Option<&Path> {
         self.ucr_dir.as_deref()

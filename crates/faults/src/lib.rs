@@ -207,21 +207,6 @@ pub enum NetFault {
     Err,
 }
 
-impl NetFault {
-    /// The `io::Error` this fault simulates, when it is an error
-    /// (everything except [`NetFault::Short`]).
-    pub fn to_error(self) -> Option<io::Error> {
-        let kind = match self {
-            NetFault::Interrupt => io::ErrorKind::Interrupted,
-            NetFault::WouldBlock => io::ErrorKind::WouldBlock,
-            NetFault::Reset => io::ErrorKind::ConnectionReset,
-            NetFault::Err => io::ErrorKind::Other,
-            NetFault::Short => return None,
-        };
-        Some(io::Error::new(kind, "injected fault (tsg_faults)"))
-    }
-}
-
 /// Outcome a file seam applies. Payload values carry seeded randomness for
 /// the cut/flip position so the schedule stays deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

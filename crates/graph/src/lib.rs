@@ -16,7 +16,7 @@
 //!   equation 4 of the paper).
 //! * [`stats`] — density (equation 2), degree statistics and the combined
 //!   [`stats::GraphStatistics`] record.
-//! * [`traversal`] — BFS, connected components and connectivity checks.
+//! * [`traversal`] — connected components and connectivity checks.
 
 pub mod assortativity;
 pub mod graph;

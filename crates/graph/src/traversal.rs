@@ -1,32 +1,7 @@
-//! Breadth-first traversal, connected components and connectivity checks.
+//! Connected components and connectivity checks, by breadth-first search.
 
 use crate::graph::Graph;
 use std::collections::VecDeque;
-
-/// Breadth-first search from `start`; returns the visited vertices in BFS
-/// order. Unreachable vertices are not included.
-pub fn bfs_order(graph: &Graph, start: usize) -> Vec<usize> {
-    let n = graph.n_vertices();
-    if start >= n {
-        return Vec::new();
-    }
-    let mut visited = vec![false; n];
-    let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    visited[start] = true;
-    queue.push_back(start);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        for &v in graph.neighbors(u) {
-            let v = v as usize;
-            if !visited[v] {
-                visited[v] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    order
-}
 
 /// Assigns a component id to every vertex; returns `(component_of, count)`.
 pub fn connected_components(graph: &Graph) -> (Vec<usize>, usize) {
@@ -65,29 +40,6 @@ pub fn is_connected(graph: &Graph) -> bool {
     connected_components(graph).1 == 1
 }
 
-/// Shortest-path distances (in hops) from `start` to every vertex;
-/// unreachable vertices get `usize::MAX`.
-pub fn bfs_distances(graph: &Graph, start: usize) -> Vec<usize> {
-    let n = graph.n_vertices();
-    let mut dist = vec![usize::MAX; n];
-    if start >= n {
-        return dist;
-    }
-    let mut queue = VecDeque::new();
-    dist[start] = 0;
-    queue.push_back(start);
-    while let Some(u) = queue.pop_front() {
-        for &v in graph.neighbors(u) {
-            let v = v as usize;
-            if dist[v] == usize::MAX {
-                dist[v] = dist[u] + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,8 +50,6 @@ mod tests {
         assert!(is_connected(&g));
         let (_, count) = connected_components(&g);
         assert_eq!(count, 1);
-        assert_eq!(bfs_order(&g, 0), vec![0, 1, 2, 3]);
-        assert_eq!(bfs_distances(&g, 0), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -119,19 +69,5 @@ mod tests {
         assert!(is_connected(&Graph::new(0)));
         assert!(is_connected(&Graph::new(1)));
         assert!(!is_connected(&Graph::new(2)));
-    }
-
-    #[test]
-    fn bfs_from_out_of_range_is_empty() {
-        let g = Graph::new(3);
-        assert!(bfs_order(&g, 10).is_empty());
-    }
-
-    #[test]
-    fn distances_unreachable_are_max() {
-        let g = Graph::from_edges(4, [(0, 1)]);
-        let d = bfs_distances(&g, 0);
-        assert_eq!(d[1], 1);
-        assert_eq!(d[2], usize::MAX);
     }
 }

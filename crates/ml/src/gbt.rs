@@ -56,21 +56,6 @@ impl Default for GradientBoostingParams {
     }
 }
 
-impl GradientBoostingParams {
-    /// The configuration the paper grid-searches over (subsample and
-    /// colsample fixed at 0.5 to prevent overfitting).
-    pub fn paper_default() -> Self {
-        GradientBoostingParams {
-            n_estimators: 60,
-            learning_rate: 0.1,
-            max_depth: 10,
-            subsample: 0.5,
-            colsample_bytree: 0.5,
-            ..Default::default()
-        }
-    }
-}
-
 /// One node of a regression tree; stored flat.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum RegNode {

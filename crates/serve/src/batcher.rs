@@ -9,10 +9,12 @@
 //! for that same model into one batch. Features are extracted for the whole
 //! batch on the shared [`tsg_parallel::ThreadPool`] — each worker checking
 //! one warmed-up [`MotifWorkspace`] out of a cross-batch pool and driving
-//! [`extract_series_features_traced`] with it (a `StageTimer` sink for
+//! [`MvgClassifier::extract_row_traced`] with it (a `StageTimer` sink for
 //! traced requests, [`NoopTraceSink`] otherwise) — and the model runs once
-//! over the batch. That entry point has one extraction body: a pruned
-//! model's row is a column gather of the wide row, by construction.
+//! over the batch. Every row is gathered by name into the model's training
+//! layout, so a series of any length fills each column with the value its
+//! name denotes, and a pruned model's row is a column gather of the wide
+//! row, by construction.
 //!
 //! One dispatcher for the whole registry is the point: a fleet of 100
 //! registered models costs one scheduler thread, not 100 idle ones, and the
@@ -39,9 +41,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use tsg_core::{
-    extract_series_features_traced, ExtractStage, MvgClassifier, NoopTraceSink, TraceSink,
-};
+use tsg_core::{ExtractStage, MvgClassifier, NoopTraceSink, TraceSink};
 use tsg_graph::motifs::MotifWorkspace;
 use tsg_parallel::ThreadPool;
 use tsg_trace::{Stage, StageSet, TraceHandle};
@@ -498,7 +498,7 @@ fn run_batch(shared: &Shared, batch: Vec<Job>, seen: Instant) {
 }
 
 /// The compute path of one batch: pooled feature extraction (reusing warmed
-/// workspaces) plus one padded/scaled model pass; probabilities are computed
+/// workspaces) plus one scaled model pass; probabilities are computed
 /// on the same transformed matrix only when some job asked for them. All
 /// jobs share one model (grouped by [`collect_batch`]).
 ///
@@ -517,16 +517,15 @@ fn compute_batch(
         .iter()
         .flat_map(|j| j.series.iter().map(move |s| (s, j.trace.as_ref())))
         .collect();
-    let features = &model.config().features;
     let rows: Vec<Vec<f64>> = shared.pool.map(&items, |&(series, trace)| {
         shared.workspaces.with(|ws| match trace {
             Some(trace) => {
                 let mut sink = StageTimer::default();
-                let row = extract_series_features_traced(series, features, ws, &mut sink);
+                let row = model.extract_row_traced(series, ws, &mut sink);
                 sink.stages.flush(trace);
                 row
             }
-            None => extract_series_features_traced(series, features, ws, &mut NoopTraceSink),
+            None => model.extract_row_traced(series, ws, &mut NoopTraceSink),
         })
     });
 
@@ -620,12 +619,7 @@ fn job_output(
 fn non_finite_input(model: &MvgClassifier, rows: &[Vec<f64>]) -> Option<ClassifyError> {
     let names = model.feature_names();
     rows.iter().enumerate().find_map(|(series, row)| {
-        let (col, value) = row
-            .iter()
-            .take(names.len())
-            .enumerate()
-            .find(|(_, v)| !v.is_finite())?;
-        let name = names.get(col).map(String::as_str).unwrap_or("?");
+        let (value, name) = row.iter().zip(names).find(|(v, _)| !v.is_finite())?;
         Some(ClassifyError::Input(format!(
             "classify input: series {series} has non-finite value {value} in feature `{name}`"
         )))

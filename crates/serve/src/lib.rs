@@ -13,7 +13,7 @@
 //! * [`epoll`] — the thin FFI shim over Linux `epoll`/`eventfd`: readiness
 //!   notification and a cross-thread waker, with every `unsafe` site
 //!   SAFETY-commented;
-//! * [`event_loop`] — the single-threaded serving core: a slab of
+//! * `event_loop` — the single-threaded serving core: a slab of
 //!   nonblocking per-connection state machines with incremental parsing,
 //!   HTTP/1.1 pipelining (responses always in request order), and a
 //!   completion queue that lets worker threads finish requests without the

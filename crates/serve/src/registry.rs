@@ -290,35 +290,23 @@ impl ModelRegistry {
             TrainingSource::Inline(train) => (train, None, "inline".to_string()),
         };
         let started = Instant::now();
-        let mut clf = MvgClassifier::new(config);
-        clf.fit(&train)
+        let fit_error = |e: tsg_ml::MlError| RegistryError::Fit(e.to_string());
+        let labels = train
+            .labels_required()
             .map_err(|e| RegistryError::Fit(e.to_string()))?;
-        // prune-and-refit: derive the top-k selection from the wide fit's
-        // importances, then train the model that will actually serve on the
-        // pruned configuration. fit_seconds deliberately covers both fits.
-        let features = match prune {
-            None => None,
+        // one extraction serves the wide fit and the pruned refit: the refit
+        // takes the top-k columns of the same raw matrix, which only a
+        // pruned fit keeps. fit_seconds deliberately covers both fits.
+        let mut clf = MvgClassifier::new(config);
+        let (wide, names) = clf.extract_features(&train);
+        match prune {
+            None => clf.fit_features(wide, names, &labels).map_err(fit_error)?,
             Some(k) => {
-                let pruned = clf
-                    .pruned_config(k)
-                    .map_err(|e| RegistryError::Fit(e.to_string()))?;
-                let names = pruned
-                    .features
-                    .selection
-                    .as_ref()
-                    .ok_or_else(|| {
-                        RegistryError::Fit("pruned configuration carries no selection".into())
-                    })?
-                    .names()
-                    .to_vec();
-                let mut pruned_clf = MvgClassifier::new(pruned);
-                pruned_clf
-                    .fit(&train)
-                    .map_err(|e| RegistryError::Fit(e.to_string()))?;
-                clf = pruned_clf;
-                Some(names)
+                clf.fit_features(&wide, names, &labels).map_err(fit_error)?;
+                clf = clf.refit_pruned(k, &wide, &labels).map_err(fit_error)?;
             }
-        };
+        }
+        let features = prune.map(|_| clf.feature_names().to_vec());
         // the version is stamped only after a *successful* fit, so failed
         // fits never consume a version a client could be pinned against
         let version = self.next_version.fetch_add(1, Ordering::Relaxed);

@@ -1,5 +1,5 @@
 //! The HTTP server: bind/preload API, routing and graceful shutdown around
-//! the event loop in [`crate::event_loop`].
+//! the event loop in the private `event_loop` module.
 //!
 //! ## Routes
 //!

@@ -5,7 +5,7 @@
 //!
 //! * [`TimeSeries`] and [`Dataset`] — the basic labeled time series types
 //!   (Definition 2.1 of the paper).
-//! * [`paa`] — Piecewise Aggregate Approximation (equation 1), the
+//! * [`paa`](mod@paa) — Piecewise Aggregate Approximation (equation 1), the
 //!   dimensionality-reduction primitive used to build multiscale
 //!   representations (Definition 2.2).
 //! * [`multiscale`] — the multiscale approximation cascade of Definition 3.1

@@ -48,11 +48,6 @@ impl TimeSeries {
         &mut self.values
     }
 
-    /// Consumes the series and returns its values.
-    pub fn into_values(self) -> Vec<f64> {
-        self.values
-    }
-
     /// The class label, if any.
     pub fn label(&self) -> Option<usize> {
         self.label
@@ -172,11 +167,6 @@ impl Dataset {
     /// All series in insertion order.
     pub fn series(&self) -> &[TimeSeries] {
         &self.series
-    }
-
-    /// Mutable access to the series.
-    pub fn series_mut(&mut self) -> &mut [TimeSeries] {
-        &mut self.series
     }
 
     /// Number of instances.

@@ -78,7 +78,8 @@ fn proba_bits(table: &[Vec<f64>]) -> Vec<Vec<u64>> {
 }
 
 /// Feature config under test: BeetleFly runs the paper's full MVG cascade,
-/// the rest the cheaper uniscale config (both exercise padding and naming).
+/// the rest the cheaper uniscale config (both exercise the row layout and
+/// naming).
 fn feature_config(name: &str) -> FeatureConfig {
     if name == "BeetleFly" {
         FeatureConfig::mvg()
@@ -265,6 +266,44 @@ fn variable_length_nan_padded_fixture_streams_identically() {
         (Split::Test, &resolved.test),
     ] {
         extract_both_ways(&source, VARLEN_FIXTURE, split, eager, &config, "varlen");
+    }
+    std::fs::remove_dir_all(&fixture_root).ok();
+}
+
+#[test]
+fn variable_length_fixture_trains_wide_rows_laid_out_by_name() {
+    let _env = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let fixture_root = temp_dir("varlen-wide");
+    write_ucr_fixture_tree(&fixture_root, &[], options(), true).expect("fixture tree");
+    let source = DatasetSource::synthetic(options()).with_ucr_dir(&fixture_root);
+    let train = source.resolve(VARLEN_FIXTURE).unwrap().train;
+    let config = FeatureConfig::wide();
+    let mut scale_counts: Vec<usize> = train
+        .series()
+        .iter()
+        .map(|s| config.n_scales_for_length(s.len()))
+        .collect();
+    scale_counts.dedup();
+    assert!(
+        scale_counts.len() > 1,
+        "lengths must span several scale counts"
+    );
+    // the matrix the fit trains on, and the rows the fitted model extracts
+    let (matrix, names) = extract_dataset_features(&train, &config, 2);
+    let mut clf = MvgClassifier::new(classifier_config(config));
+    clf.fit(&train).unwrap();
+    assert_eq!(clf.feature_names(), names.as_slice());
+    let (rows, _) = clf.extract_features(&train);
+    assert_eq!(matrix_bits(&rows), matrix_bits(&matrix));
+    let mean_column = names.iter().position(|n| n == "stat mean").unwrap();
+    for (i, series) in train.series().iter().enumerate() {
+        let mean = series.values().iter().sum::<f64>() / series.len() as f64;
+        let got = matrix.get(i, mean_column);
+        assert!(
+            (got - mean).abs() < 1e-12,
+            "series {i} (length {}): `stat mean` holds {got}, not {mean}",
+            series.len()
+        );
     }
     std::fs::remove_dir_all(&fixture_root).ok();
 }

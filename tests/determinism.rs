@@ -15,12 +15,13 @@ use tsc_mvg::ml::forest::{RandomForest, RandomForestParams};
 use tsc_mvg::ml::gbt::{GradientBoosting, GradientBoostingParams};
 use tsc_mvg::ml::knn::KnnClassifier;
 use tsc_mvg::ml::stacking::{StackingEnsemble, StackingParams};
+use tsc_mvg::ml::svm::{SvmKernel, SvmParams};
 use tsc_mvg::ml::traits::Classifier;
 use tsc_mvg::ml::tree::{DecisionTree, DecisionTreeParams};
 use tsc_mvg::ml::{FeatureMatrix, GridSearch};
 use tsc_mvg::mvg::{
     extract_dataset_features, extract_features_streaming, extract_series_features_traced,
-    FeatureConfig, MvgClassifier, MvgConfig, NoopTraceSink,
+    ClassifierChoice, FeatureConfig, MvgClassifier, MvgConfig, NoopTraceSink,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
@@ -573,6 +574,63 @@ fn feature_matrices_match_the_pinned_bits() {
         if got != pins {
             let hex: Vec<String> = got.iter().map(|h| format!("{h:#018x}")).collect();
             mismatches.push(format!("{dataset}: [{}]", hex.join(", ")));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+#[test]
+fn classifier_choices_match_the_pinned_bits() {
+    // Every `ClassifierChoice` the serving presets do not fit, end to end on
+    // one fixed equal-length synthetic split: the scaled feature rows feed
+    // each family, so a change to the row layout or the scaler shows here.
+    // `(choice, predict labels, predict_proba bits)`
+    const PINS: [(&str, u64, u64); 4] = [
+        ("RandomForest", 0xf2b5_accd_8233_5524, 0xb3c0_7aed_e245_9e72),
+        ("Svm", 0xec32_669a_74fc_ae65, 0x84a7_6576_5571_8063),
+        ("Stacked", 0x107a_002b_e9b1_ae25, 0x6fa7_7f39_38c7_ae77),
+        (
+            "GradientBoostingGrid",
+            0xf746_ad27_57f0_54e4,
+            0x12ea_c76c_ed75_4825,
+        ),
+    ];
+    let (train, test) = generate_by_name_scaled("BeetleFly", ArchiveOptions::bounded(18, 96, 5))
+        .expect("catalogue dataset");
+    let choice = |name: &str| match name {
+        "RandomForest" => ClassifierChoice::RandomForest(RandomForestParams {
+            n_estimators: 20,
+            max_depth: 6,
+            seed: 5,
+            ..Default::default()
+        }),
+        "Svm" => ClassifierChoice::Svm(SvmParams {
+            c: 5.0,
+            kernel: SvmKernel::Rbf { gamma: 2.0 },
+            seed: 5,
+            ..Default::default()
+        }),
+        "Stacked" => ClassifierChoice::Stacked { top_k: 2 },
+        _ => ClassifierChoice::GradientBoostingGrid,
+    };
+    let mut mismatches = Vec::new();
+    for (name, label_pin, proba_pin) in PINS {
+        let config = MvgConfig {
+            n_threads: 2,
+            seed: 5,
+            ..MvgConfig::fast()
+        }
+        .with_classifier(choice(name));
+        let mut clf = MvgClassifier::new(config);
+        clf.fit(&train).unwrap();
+        let labels = clf.predict(&test).unwrap();
+        let proba = clf.predict_proba(&test).unwrap();
+        let got = (
+            fnv1a(labels.iter().flat_map(|&l| (l as u64).to_le_bytes())),
+            fnv1a_f64s(proba.iter().flatten()),
+        );
+        if got != (label_pin, proba_pin) {
+            mismatches.push(format!("{name}: ({:#018x}, {:#018x})", got.0, got.1));
         }
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
