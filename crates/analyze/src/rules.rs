@@ -86,11 +86,8 @@ pub const REQUEST_PATH_FILES: &[(&str, &str)] = &[
 
 /// Files whose file I/O must flow through the `tsg_faults::fsio` seam so
 /// deterministic fault schedules can reach every open/write/sync/rename of
-/// the storage paths (the dataset cache and the model snapshot store).
-pub const FAULT_SEAM_FILES: &[(&str, &str)] = &[
-    ("tsg_datasets", "src/cache.rs"),
-    ("tsg_serve", "src/snapshot.rs"),
-];
+/// the storage path (the model snapshot store).
+pub const FAULT_SEAM_FILES: &[(&str, &str)] = &[("tsg_serve", "src/snapshot.rs")];
 
 /// The only tsg_serve files allowed to create threads: the ops worker
 /// (`server.rs`), the shared batch dispatcher (`batcher.rs`) and the
@@ -107,7 +104,6 @@ pub const SERVE_THREAD_SPAWNERS: &[(&str, &str)] = &[
 pub const ENV_ENTRY_POINTS: &[(&str, &str)] = &[
     ("tsg_parallel", "src/lib.rs"),
     ("tsg_datasets", "src/source.rs"),
-    ("tsg_datasets", "src/cache.rs"),
     ("tsg_faults", "src/lib.rs"),
     ("tsg_trace", "src/log.rs"),
 ];
@@ -198,8 +194,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "env-discipline",
         summary: "no std::env::var outside the documented config entry points",
-        protects:
-            "configuration is explicit and testable (TSC_MVG_THREADS, TSG_UCR_DIR, cache dir)",
+        protects: "configuration is explicit and testable (TSC_MVG_THREADS, TSG_UCR_DIR)",
         crates: CrateScope::All,
         files: FileScope::Except(ENV_ENTRY_POINTS),
         include_tests: false,
@@ -502,8 +497,8 @@ mod tests {
         assert!(!panic.applies_to("tsg_core", "src/http.rs"));
 
         let seam = rule_by_id("fault-seam").unwrap();
-        assert!(seam.applies_to("tsg_datasets", "src/cache.rs"));
         assert!(seam.applies_to("tsg_serve", "src/snapshot.rs"));
+        assert!(!seam.applies_to("tsg_datasets", "src/source.rs"));
         assert!(!seam.applies_to("tsg_serve", "src/http.rs"));
         assert!(!seam.applies_to("tsg_faults", "src/lib.rs"));
 

@@ -7,7 +7,7 @@
 //!
 //! Datasets are consumed through the streaming `DatasetSource` pipeline:
 //! each split is opened as an instance-at-a-time stream (real UCR files via
-//! `--ucr-dir` / `TSG_UCR_DIR`, else the cached synthetic catalogue) and
+//! `--ucr-dir` / `TSG_UCR_DIR`, else the synthetic catalogue) and
 //! features are extracted chunk-wise on the shared worker pool, so no full
 //! `Vec<TimeSeries>` is ever resident. Per-split provenance (source kind,
 //! backing file, content hash) is printed and embedded in the JSON artefact.

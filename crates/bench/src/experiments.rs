@@ -33,11 +33,9 @@ impl MethodResult {
 
 /// Resolves the `(train, test)` splits for a spec through the run's
 /// [`tsg_datasets::DatasetSource`]: a real UCR directory (`--ucr-dir` /
-/// `TSG_UCR_DIR`) when it holds the pair, otherwise the on-disk dataset
-/// cache (`target/tsg-dataset-cache/`) in front of synthesis — so repeated
-/// experiment runs, in particular `--full` ones, stop regenerating identical
-/// series. The returned [`ResolvedPair`] carries per-split provenance, which
-/// the binaries print and embed in their artefacts.
+/// `TSG_UCR_DIR`) when it holds the pair, otherwise synthesis. The returned
+/// [`ResolvedPair`] carries per-split provenance, which the binaries print
+/// and embed in their artefacts.
 ///
 /// A present-but-malformed real pair aborts the run (loading different data
 /// than the user pointed at would silently change every reported number).

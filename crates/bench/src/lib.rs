@@ -49,7 +49,7 @@ pub struct RunOptions {
     pub n_threads: usize,
     /// Real UCR archive directory (`--ucr-dir`; overrides the `TSG_UCR_DIR`
     /// environment variable). Datasets found there are loaded from disk;
-    /// the rest fall back to the cached synthetic catalogue.
+    /// the rest fall back to the synthetic catalogue.
     pub ucr_dir: Option<PathBuf>,
 }
 
@@ -125,8 +125,8 @@ impl RunOptions {
     }
 
     /// The unified dataset resolver for this run: the `--ucr-dir` flag (or
-    /// the `TSG_UCR_DIR` environment variable) in front, the on-disk cache
-    /// behind it, in-memory synthesis last. All experiment binaries load
+    /// the `TSG_UCR_DIR` environment variable) in front, in-memory synthesis
+    /// behind it. All experiment binaries load
     /// their splits through this, so provenance is uniform across artefacts.
     pub fn dataset_source(&self) -> DatasetSource {
         let source = DatasetSource::from_env(self.archive);

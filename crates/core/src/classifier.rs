@@ -115,12 +115,6 @@ impl MvgConfig {
         self.classifier = classifier;
         self
     }
-
-    /// Replaces the random seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 /// Labels per series, plus class probabilities when they were asked for.
@@ -317,17 +311,23 @@ impl MvgClassifier {
         }
         self.set_feature_names(names)?;
         // min-max scale: harmless for trees, required for SVM
-        let (scaler, mut x) = MinMaxScaler::fit_transform(raw)?;
-        // an owned unscaled copy is dead from here; free it before the fit
-        drop(features);
-        self.scaler = Some(scaler);
+        let scaler = MinMaxScaler::fit(raw)?;
+        // scaling is per cell and oversampling depends only on the seed and
+        // the labels, so the training rows are gathered once and that one
+        // copy is scaled in place
         let mut y = labels.to_vec();
-        if self.config.oversample {
+        let mut x = if self.config.oversample {
             let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
             let indices = random_oversample(&y, &mut rng);
-            x = x.select_rows(&indices);
             y = indices.iter().map(|&i| y[i]).collect();
-        }
+            raw.select_rows(&indices)
+        } else {
+            raw.clone()
+        };
+        // an owned unscaled matrix is dead from here; free it before the fit
+        drop(features);
+        scaler.transform_in_place(&mut x)?;
+        self.scaler = Some(scaler);
         self.n_classes = y.iter().copied().max().map(|m| m + 1).unwrap_or(0);
         let model: Box<dyn Classifier> = match &self.config.classifier {
             ClassifierChoice::GradientBoosting(params) => {
@@ -381,7 +381,9 @@ impl MvgClassifier {
     /// a row of another width is rejected, not repaired.
     fn transform_rows(&self, rows: &[Vec<f64>]) -> crate::Result<FeatureMatrix> {
         let scaler = self.scaler.as_ref().ok_or(MlError::NotFitted)?;
-        scaler.transform(&FeatureMatrix::from_rows(rows)?)
+        let mut x = FeatureMatrix::from_rows(rows)?;
+        scaler.transform_in_place(&mut x)?;
+        Ok(x)
     }
 
     /// Predicts labels from raw feature rows, one per series, as
@@ -804,7 +806,11 @@ mod tests {
         other_threads.n_threads = (other_threads.n_threads % 4) + 1;
         assert!(MvgClassifier::from_snapshot(other_threads, &bytes).is_ok());
         // but any behaviour-relevant change is rejected outright
-        assert!(MvgClassifier::from_snapshot(MvgConfig::fast().with_seed(99), &bytes).is_err());
+        let other_seed = MvgConfig {
+            seed: 99,
+            ..MvgConfig::fast()
+        };
+        assert!(MvgClassifier::from_snapshot(other_seed, &bytes).is_err());
         // and the fingerprint itself is pinned: a snapshot written by an
         // older build must keep restoring under the same configuration
         assert_eq!(

@@ -9,6 +9,12 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use tsg_ts::{Dataset, TimeSeries};
 
+/// Version of the generators, recorded in every synthetic split's
+/// provenance. Bump it whenever [`crate::families`] or the generation logic
+/// below changes observable output, so an artefact names the generator that
+/// produced its series.
+pub const GENERATOR_VERSION: u32 = 1;
+
 /// Specification of one synthetic dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DatasetSpec {
@@ -547,6 +553,9 @@ mod tests {
         let (b, _) = generate_by_name("BirdChicken", 1).unwrap();
         assert_ne!(a.series()[0].values(), b.series()[0].values());
         assert!(generate_by_name("Nope", 1).is_err());
+        let options = ArchiveOptions::bounded(6, 48, 1);
+        assert!(generate_by_name_scaled("Wine", options).is_ok());
+        assert!(generate_by_name_scaled("Nope", options).is_err());
     }
 
     #[test]

@@ -169,11 +169,6 @@ mod tests {
     static DIR_COUNTER: AtomicU32 = AtomicU32::new(0);
 
     fn temp_root() -> PathBuf {
-        // temp_dir() is a getenv; hold the crate's env lock so it cannot
-        // race a sibling test's setenv (see TEST_ENV_LOCK)
-        let _guard = crate::cache::TEST_ENV_LOCK
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
         let dir = std::env::temp_dir().join(format!(
             "tsg-fixture-{}-{}",
             std::process::id(),

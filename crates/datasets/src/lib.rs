@@ -20,15 +20,14 @@
 //! reads the archive's `_TRAIN`/`_TEST` text format (nested or flat layout,
 //! any of the common extensions) and takes precedence when a directory is
 //! supplied via `TSG_UCR_DIR` or [`source::DatasetSource::with_ucr_dir`].
-//! `DatasetSource` unifies the three places a split can come from —
-//! synthesis, the on-disk [`cache`], a real directory — behind one lazy
-//! interface with instance-at-a-time streaming ([`source::SplitStream`]) and
-//! per-split provenance ([`source::SplitProvenance`]); [`fixture`] writes
+//! `DatasetSource` unifies the two places a split can come from — synthesis
+//! and a real directory — behind one lazy interface with instance-at-a-time
+//! streaming ([`source::SplitStream`]) and per-split provenance
+//! ([`source::SplitProvenance`]); [`fixture`] writes
 //! golden real-format trees so that path stays exercised without
 //! redistributing UCR data.
 
 pub mod archive;
-pub mod cache;
 pub mod families;
 pub mod fixture;
 pub mod loader;
@@ -37,7 +36,6 @@ pub mod source;
 pub use archive::{
     generate, generate_by_name, generate_scaled, ArchiveOptions, DatasetSpec, ALL_DATASETS,
 };
-pub use cache::{ensure_cached, generate_by_name_scaled_cached, generate_scaled_cached};
 pub use families::Family;
 pub use source::{
     DatasetSource, ResolvedPair, SourceError, SourceKind, Split, SplitProvenance, SplitStream,

@@ -1,12 +1,11 @@
 //! `DatasetSource` — one lazy, streaming answer to "where does a split come
 //! from?".
 //!
-//! A split can exist three ways in this workspace: synthesised from the
-//! catalogue, persisted in the on-disk [`crate::cache`], or read from a real
-//! UCR directory tree. Before this module every consumer hard-wired one of
-//! those paths; now the experiment binaries, the eval harness and the
-//! serving registry all resolve splits by name through a [`DatasetSource`]
-//! and get the same three guarantees everywhere:
+//! A split can exist two ways in this workspace: synthesised from the
+//! catalogue, or read from a real UCR directory tree. The experiment
+//! binaries, the eval harness and the serving registry all resolve splits by
+//! name through a [`DatasetSource`] and get the same three guarantees
+//! everywhere:
 //!
 //! 1. **Laziness** — nothing is generated or read before the split is asked
 //!    for, and [`DatasetSource::open_split`] yields series
@@ -14,27 +13,26 @@
 //!    never needs a full `Vec<TimeSeries>` resident during feature
 //!    extraction.
 //! 2. **Provenance** — every split travels with a [`SplitProvenance`]
-//!    recording whether it is synthetic, cached or real, plus the seed and
-//!    generator version (synthetic/cached) or the backing file path and its
-//!    FNV-1a content hash (cached/real). Experiment artefacts embed it, so a
-//!    reported number can always be traced to its exact input bytes.
-//! 3. **Bit-exactness** — all paths produce bit-identical series: the cache
-//!    stores raw `f64` bits, the UCR text writer emits shortest-round-trip
-//!    decimals, and the streaming readers share the exact parsing /
-//!    generation code of the eager paths (`tests/dataset_conformance.rs` at
-//!    the workspace root pins all four paths against each other).
+//!    recording whether it is synthetic or real, plus the seed and generator
+//!    version (synthetic) or the backing file path and its FNV-1a content
+//!    hash (real). Experiment artefacts embed it, so a reported number can
+//!    always be traced to its exact input bytes.
+//! 3. **Bit-exactness** — all paths produce bit-identical series: the UCR
+//!    text writer emits shortest-round-trip decimals, and the streaming
+//!    readers share the exact parsing / generation code of the eager paths
+//!    (`tests/dataset_conformance.rs` at the workspace root pins the paths
+//!    against each other).
 //!
 //! Resolution precedence: a configured UCR directory ([`UCR_DIR_ENV`] or
 //! [`DatasetSource::with_ucr_dir`]) wins when it contains the
 //! `_TRAIN`/`_TEST` pair; a present-but-malformed pair is a hard error (it
 //! would otherwise silently change results); only a *truly absent* pair
-//! falls back to the cache (when enabled) and then to in-memory synthesis.
+//! falls back to in-memory synthesis.
 
 use crate::archive::{
     effective_shape, generate_scaled, instance_class, spec_by_name, split_rng, ArchiveOptions,
-    DatasetSpec,
+    DatasetSpec, GENERATOR_VERSION,
 };
-use crate::cache::{self, CacheFileReader, GENERATOR_VERSION};
 use crate::loader::find_ucr_pair;
 use rand_chacha::ChaCha8Rng;
 use std::io::{BufRead, BufReader, Read};
@@ -45,7 +43,7 @@ use tsg_ts::{Dataset, TimeSeries};
 
 /// Environment variable pointing at a real UCR archive directory. When set
 /// (and non-empty), [`DatasetSource::from_env`] resolves datasets from it
-/// first, falling back per dataset to the cache / synthesis.
+/// first, falling back per dataset to synthesis.
 pub const UCR_DIR_ENV: &str = "TSG_UCR_DIR";
 
 /// One half of a dataset.
@@ -72,8 +70,6 @@ impl Split {
 pub enum SourceKind {
     /// Generated in memory from the seeded catalogue families.
     Synthetic,
-    /// Read back from the on-disk dataset cache.
-    Cached,
     /// Read from a real UCR-format file.
     Real,
 }
@@ -83,7 +79,6 @@ impl SourceKind {
     pub fn as_str(self) -> &'static str {
         match self {
             SourceKind::Synthetic => "synthetic",
-            SourceKind::Cached => "cached",
             SourceKind::Real => "real",
         }
     }
@@ -102,15 +97,15 @@ pub struct SplitProvenance {
     pub dataset: String,
     /// Which split this record describes.
     pub split: Split,
-    /// Synthetic, cached or real.
+    /// Synthetic or real.
     pub kind: SourceKind,
-    /// Generation seed (synthetic and cached splits).
+    /// Generation seed (synthetic splits).
     pub seed: Option<u64>,
-    /// Generator version behind the series (synthetic and cached splits).
+    /// Generator version behind the series (synthetic splits).
     pub generator_version: Option<u32>,
-    /// Backing file (cached and real splits).
+    /// Backing file (real splits).
     pub path: Option<PathBuf>,
-    /// FNV-1a hash of the backing file's bytes (cached and real splits).
+    /// FNV-1a hash of the backing file's bytes (real splits).
     pub content_hash: Option<u64>,
 }
 
@@ -124,18 +119,6 @@ impl SplitProvenance {
             generator_version: Some(GENERATOR_VERSION),
             path: None,
             content_hash: None,
-        }
-    }
-
-    fn cached(dataset: &str, split: Split, seed: u64, path: PathBuf, hash: u64) -> Self {
-        SplitProvenance {
-            dataset: dataset.to_string(),
-            split,
-            kind: SourceKind::Cached,
-            seed: Some(seed),
-            generator_version: Some(GENERATOR_VERSION),
-            path: Some(path),
-            content_hash: Some(hash),
         }
     }
 
@@ -186,13 +169,6 @@ pub enum SourceError {
         /// What went wrong.
         message: String,
     },
-    /// A cache file turned corrupt mid-stream (it was valid at open time).
-    CorruptCache {
-        /// Cache file that failed.
-        path: PathBuf,
-        /// What went wrong.
-        message: String,
-    },
 }
 
 impl std::fmt::Display for SourceError {
@@ -206,9 +182,6 @@ impl std::fmt::Display for SourceError {
             }
             SourceError::Read { path, message } => {
                 write!(f, "failed to read UCR file {}: {message}", path.display())
-            }
-            SourceError::CorruptCache { path, message } => {
-                write!(f, "corrupt cache file {}: {message}", path.display())
             }
         }
     }
@@ -231,7 +204,7 @@ pub struct ResolvedPair {
 
 impl ResolvedPair {
     /// The common source kind of both splits (they always resolve from the
-    /// same place: real needs both files, cached one file, synthetic none).
+    /// same place: real needs both files, synthetic none).
     pub fn kind(&self) -> SourceKind {
         self.train_provenance.kind
     }
@@ -244,40 +217,25 @@ impl ResolvedPair {
 pub struct DatasetSource {
     ucr_dir: Option<PathBuf>,
     options: ArchiveOptions,
-    use_cache: bool,
 }
 
 impl DatasetSource {
-    /// Pure in-memory synthesis (no UCR directory, no cache).
+    /// Pure in-memory synthesis (no UCR directory).
     pub fn synthetic(options: ArchiveOptions) -> Self {
         DatasetSource {
             ucr_dir: None,
             options,
-            use_cache: false,
         }
     }
 
-    /// Synthesis backed by the on-disk dataset cache.
-    pub fn cached(options: ArchiveOptions) -> Self {
-        DatasetSource {
-            ucr_dir: None,
-            options,
-            use_cache: true,
-        }
-    }
-
-    /// The production default: honours [`UCR_DIR_ENV`] when set (and
-    /// non-empty), with the cache enabled for catalogue fallbacks.
+    /// The production default: [`DatasetSource::synthetic`] plus the UCR
+    /// directory named by [`UCR_DIR_ENV`] when it is set (and non-empty).
     pub fn from_env(options: ArchiveOptions) -> Self {
         let ucr_dir = std::env::var(UCR_DIR_ENV)
             .ok()
             .filter(|d| !d.trim().is_empty())
             .map(PathBuf::from);
-        DatasetSource {
-            ucr_dir,
-            options,
-            use_cache: true,
-        }
+        DatasetSource { ucr_dir, options }
     }
 
     /// Resolves from this UCR directory first (overrides any env setting).
@@ -332,36 +290,6 @@ impl DatasetSource {
         }
         let spec =
             spec_by_name(name).ok_or_else(|| SourceError::UnknownDataset(name.to_string()))?;
-        if self.use_cache {
-            // one decode on a warm cache (the read doubles as validation),
-            // one write on a cold one; any cache problem — including a hash
-            // read racing a concurrent cleaner — falls through to synthesis:
-            // the cache may never change results, only skip work
-            if let Some((path, (train, test))) = cache::read_or_create_pair(spec, self.options) {
-                if let Ok(hash) = hash_file(&path) {
-                    let seed = self.options.seed;
-                    return Ok(ResolvedPair {
-                        train,
-                        test,
-                        train_provenance: SplitProvenance::cached(
-                            name,
-                            Split::Train,
-                            seed,
-                            path.clone(),
-                            hash,
-                        ),
-                        test_provenance: SplitProvenance::cached(
-                            name,
-                            Split::Test,
-                            seed,
-                            path,
-                            hash,
-                        ),
-                    });
-                }
-            }
-            // cache directory unusable: fall through to in-memory synthesis
-        }
         let (train, test) = generate_scaled(spec, self.options);
         Ok(ResolvedPair {
             train,
@@ -411,24 +339,15 @@ impl DatasetSource {
         }
         let spec =
             spec_by_name(name).ok_or_else(|| SourceError::UnknownDataset(name.to_string()))?;
-        if self.use_cache {
-            if let Some(path) = cache::ensure_cached(spec, self.options) {
-                if let Some(stream) =
-                    SplitStream::open_cached(name, split, spec, self.options, &path)?
-                {
-                    return Ok(stream);
-                }
-            }
-        }
         Ok(SplitStream::synthetic(name, split, spec, self.options))
     }
 }
 
 /// A lazy, instance-at-a-time iterator over one split.
 ///
-/// Yields `Result<TimeSeries, SourceError>` so mid-stream failures (a cache
-/// file truncated underneath us, an archive file edited mid-read) surface as
-/// errors instead of silently short datasets. After the first error the
+/// Yields `Result<TimeSeries, SourceError>` so mid-stream failures (an
+/// archive file truncated or edited mid-read) surface as errors instead of
+/// silently short datasets. After the first error the
 /// stream fuses to `None`.
 pub struct SplitStream {
     name: String,
@@ -447,10 +366,6 @@ enum StreamState {
         rng: ChaCha8Rng,
         length: usize,
     },
-    Cached {
-        reader: CacheFileReader,
-        path: PathBuf,
-    },
     Real {
         reader: BufReader<std::fs::File>,
         parser: UcrRecordParser,
@@ -464,8 +379,7 @@ impl SplitStream {
     /// Streams a synthetic split straight from the seeded generators,
     /// holding only the RNG state. A `Test` stream replays (and discards)
     /// the training instances first, because the test split continues the
-    /// same keystream — the cached path avoids that replay cost, which is
-    /// one of the reasons the cache is on by default.
+    /// same keystream.
     fn synthetic(
         name: &str,
         split: Split,
@@ -496,64 +410,6 @@ impl SplitStream {
             failed: false,
             state: StreamState::Synthetic { spec, rng, length },
         }
-    }
-
-    /// Streams a split out of a verified cache file. Returns `Ok(None)` when
-    /// the file cannot be opened or skipped through (callers fall back to
-    /// synthesis — a cache may never change results, only skip work).
-    fn open_cached(
-        name: &str,
-        split: Split,
-        spec: &'static DatasetSpec,
-        options: ArchiveOptions,
-        path: &Path,
-    ) -> Result<Option<SplitStream>, SourceError> {
-        let Some(mut reader) = CacheFileReader::open(path) else {
-            return Ok(None);
-        };
-        let Some((_, n_train)) = reader.read_header() else {
-            return Ok(None);
-        };
-        let n_instances = match split {
-            Split::Train => n_train,
-            Split::Test => {
-                for _ in 0..n_train {
-                    if reader.read_record().is_none() {
-                        return Ok(None);
-                    }
-                }
-                match reader.read_header() {
-                    Some((_, n_test)) => n_test,
-                    None => return Ok(None),
-                }
-            }
-        };
-        // cache files always hold generator output, whose series all share
-        // the budgeted length
-        let (_, _, length) = effective_shape(spec, options);
-        // a hash failure is a cache problem like any other: fall back
-        let Ok(hash) = hash_file(path) else {
-            return Ok(None);
-        };
-        Ok(Some(SplitStream {
-            name: format!("{}_{}", name, split.suffix()),
-            split,
-            n_instances,
-            max_length: length,
-            provenance: SplitProvenance::cached(
-                name,
-                split,
-                options.seed,
-                path.to_path_buf(),
-                hash,
-            ),
-            yielded: 0,
-            failed: false,
-            state: StreamState::Cached {
-                reader,
-                path: path.to_path_buf(),
-            },
-        }))
     }
 
     /// Streams a real UCR file. Opening scans the file once (hash, record
@@ -645,18 +501,6 @@ impl SplitStream {
                 let class = instance_class(spec, self.n_instances, self.yielded);
                 let values = spec.family.generate(rng, class, spec.n_classes, *length);
                 Ok(TimeSeries::with_label(values, class))
-            }
-            StreamState::Cached { reader, path } => {
-                reader
-                    .read_record()
-                    .ok_or_else(|| SourceError::CorruptCache {
-                        path: path.clone(),
-                        message: format!(
-                            "record {} of {} unreadable (file changed after open?)",
-                            self.yielded + 1,
-                            self.n_instances
-                        ),
-                    })
             }
             StreamState::Real {
                 reader,
@@ -793,11 +637,6 @@ mod tests {
     static DIR_COUNTER: AtomicU32 = AtomicU32::new(0);
 
     fn temp_dir(tag: &str) -> PathBuf {
-        // temp_dir() is a getenv; hold the crate's env lock so it cannot
-        // race a sibling test's setenv (see TEST_ENV_LOCK)
-        let _guard = cache::TEST_ENV_LOCK
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
         let dir = std::env::temp_dir().join(format!(
             "tsg-source-{tag}-{}-{}",
             std::process::id(),
@@ -835,38 +674,6 @@ mod tests {
             assert_eq!(stream.provenance().kind, SourceKind::Synthetic);
             assert_eq!(collect(stream).as_slice(), eager.series());
         }
-    }
-
-    #[test]
-    fn cached_stream_matches_eager_and_reports_cache_file() {
-        let dir = temp_dir("cache");
-        // CACHE_DIR_ENV is process-wide; hold the crate's env lock while a
-        // private cache directory is in effect
-        let _guard = cache::TEST_ENV_LOCK
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        std::env::set_var(cache::CACHE_DIR_ENV, &dir);
-        let source = DatasetSource::cached(options());
-        let resolved = source.resolve("Wine").unwrap();
-        assert_eq!(resolved.kind(), SourceKind::Cached);
-        let path = resolved.train_provenance.path.clone().unwrap();
-        assert!(path.starts_with(&dir));
-        assert!(resolved.train_provenance.content_hash.is_some());
-        // bit-identical to pure synthesis
-        let synthetic = DatasetSource::synthetic(options()).resolve("Wine").unwrap();
-        assert_eq!(resolved.train, synthetic.train);
-        assert_eq!(resolved.test, synthetic.test);
-        for (split, eager) in [
-            (Split::Train, &resolved.train),
-            (Split::Test, &resolved.test),
-        ] {
-            let stream = source.open_split("Wine", split).unwrap();
-            assert_eq!(stream.provenance().kind, SourceKind::Cached);
-            assert_eq!(stream.n_instances(), eager.len());
-            assert_eq!(collect(stream).as_slice(), eager.series());
-        }
-        std::env::remove_var(cache::CACHE_DIR_ENV);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1016,7 +823,6 @@ mod tests {
         assert_eq!(Split::Train.suffix(), "TRAIN");
         assert_eq!(Split::Test.suffix(), "TEST");
         assert_eq!(SourceKind::Synthetic.as_str(), "synthetic");
-        assert_eq!(SourceKind::Cached.as_str(), "cached");
         assert_eq!(SourceKind::Real.as_str(), "real");
     }
 }

@@ -4,10 +4,10 @@
 //! ECONNRESET, short reads/writes, torn files, crashes mid-write) only if
 //! those failures can be *reproduced on demand*. This crate is the single
 //! seam: I/O call sites in `tsg_serve` (epoll wait, accept, connection
-//! read/write) and the atomic file machinery in `tsg_datasets::cache` /
-//! `tsg_serve::snapshot` consult it before touching the kernel, and it
-//! answers — deterministically, from a per-site splitmix64 stream — whether
-//! to inject a fault instead.
+//! read/write) and the atomic file machinery in `tsg_serve::snapshot`
+//! consult it before touching the kernel, and it answers —
+//! deterministically, from a per-site splitmix64 stream — whether to inject
+//! a fault instead.
 //!
 //! ## Zero cost when disabled
 //!
@@ -50,14 +50,6 @@ pub enum Site {
     Accept,
     /// `epoll_wait(2)` in the epoll shim.
     EpollWait,
-    /// Dataset cache: file open for read.
-    CacheOpen,
-    /// Dataset cache: payload write to the tmp file.
-    CacheWrite,
-    /// Dataset cache: tmp → final rename.
-    CacheRename,
-    /// Dataset cache: fsync of the tmp file.
-    CacheSync,
     /// Model snapshot: file open/read.
     SnapOpen,
     /// Model snapshot: payload write to the tmp file.
@@ -70,7 +62,7 @@ pub enum Site {
 
 /// Number of [`Site`] variants (per-site stream table size).
 #[cfg(feature = "injection")]
-const N_SITES: usize = 12;
+const N_SITES: usize = 8;
 
 impl Site {
     /// Dense index for the per-site stream table.
@@ -81,14 +73,10 @@ impl Site {
             Site::ConnWrite => 1,
             Site::Accept => 2,
             Site::EpollWait => 3,
-            Site::CacheOpen => 4,
-            Site::CacheWrite => 5,
-            Site::CacheRename => 6,
-            Site::CacheSync => 7,
-            Site::SnapOpen => 8,
-            Site::SnapWrite => 9,
-            Site::SnapRename => 10,
-            Site::SnapSync => 11,
+            Site::SnapOpen => 4,
+            Site::SnapWrite => 5,
+            Site::SnapRename => 6,
+            Site::SnapSync => 7,
         }
     }
 
@@ -99,10 +87,6 @@ impl Site {
             Site::ConnWrite => "conn_write",
             Site::Accept => "accept",
             Site::EpollWait => "epoll_wait",
-            Site::CacheOpen => "cache_open",
-            Site::CacheWrite => "cache_write",
-            Site::CacheRename => "cache_rename",
-            Site::CacheSync => "cache_sync",
             Site::SnapOpen => "snap_open",
             Site::SnapWrite => "snap_write",
             Site::SnapRename => "snap_rename",
@@ -117,10 +101,6 @@ impl Site {
             "conn_write" => Site::ConnWrite,
             "accept" => Site::Accept,
             "epoll_wait" => Site::EpollWait,
-            "cache_open" => Site::CacheOpen,
-            "cache_write" => Site::CacheWrite,
-            "cache_rename" => Site::CacheRename,
-            "cache_sync" => Site::CacheSync,
             "snap_open" => Site::SnapOpen,
             "snap_write" => Site::SnapWrite,
             "snap_rename" => Site::SnapRename,
@@ -132,13 +112,13 @@ impl Site {
     /// Whether this is a file-machinery site (vs a network site).
     #[cfg(feature = "injection")]
     fn is_file(self) -> bool {
-        self.index() >= Site::CacheOpen.index()
+        self.index() >= Site::SnapOpen.index()
     }
 
     /// Whether torn/bit-flip faults make sense here (payload write sites).
     #[cfg(feature = "injection")]
     fn is_payload_write(self) -> bool {
-        matches!(self, Site::CacheWrite | Site::SnapWrite)
+        self == Site::SnapWrite
     }
 }
 
@@ -507,7 +487,7 @@ pub fn file_fault(_site: Site) -> Option<FileFault> {
 // fsio — the injectable file seam
 // ---------------------------------------------------------------------------
 
-/// Filesystem wrappers the cache/snapshot machinery must use instead of
+/// Filesystem wrappers the snapshot machinery must use instead of
 /// direct `std::fs` calls (enforced by the analyzer's `fault-seam` rule).
 /// With injection disabled each wrapper inlines to the bare `std::fs` call.
 pub mod fsio {
@@ -622,8 +602,8 @@ mod tests {
             "conn_read:nope:0.5",
             "conn_read:eintr:0.5:extra",
             // applicability: torn is a payload-write fault, reset is net-only
-            "cache_open:torn:1",
-            "cache_write:reset:1",
+            "snap_open:torn:1",
+            "snap_write:reset:1",
             "accept:short:1",
         ] {
             assert!(configure(1, bad).is_err(), "accepted `{bad}`");
@@ -736,15 +716,15 @@ mod tests {
         let path = dir.join("x.bin");
         std::fs::write(&path, b"hello").unwrap();
 
-        configure(17, "cache_open:err:1,cache_rename:err:1,cache_sync:err:1").unwrap();
-        assert!(fsio::open(&path, Site::CacheOpen).is_err());
-        assert!(fsio::rename(&path, &dir.join("y.bin"), Site::CacheRename).is_err());
+        configure(17, "snap_open:err:1,snap_rename:err:1,snap_sync:err:1").unwrap();
+        assert!(fsio::open(&path, Site::SnapOpen).is_err());
+        assert!(fsio::rename(&path, &dir.join("y.bin"), Site::SnapRename).is_err());
         let f = std::fs::File::open(&path).unwrap();
-        assert!(fsio::sync_all(&f, Site::CacheSync).is_err());
+        assert!(fsio::sync_all(&f, Site::SnapSync).is_err());
         disable();
 
         assert!(
-            fsio::open(&path, Site::CacheOpen).is_ok(),
+            fsio::open(&path, Site::SnapOpen).is_ok(),
             "disarmed seam passes through"
         );
         std::fs::remove_dir_all(&dir).ok();

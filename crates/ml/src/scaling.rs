@@ -64,6 +64,13 @@ impl MinMaxScaler {
     /// outside the training range are clipped to `[0, 1]`. Non-finite
     /// inputs are rejected (NaN would survive the clamp otherwise).
     pub fn transform(&self, x: &FeatureMatrix) -> Result<FeatureMatrix> {
+        let mut out = x.clone();
+        self.transform_in_place(&mut out)?;
+        Ok(out)
+    }
+
+    /// [`MinMaxScaler::transform`] overwriting `x` instead of copying it.
+    pub fn transform_in_place(&self, x: &mut FeatureMatrix) -> Result<()> {
         if x.n_cols() != self.mins.len() {
             return Err(MlError::InvalidData(format!(
                 "scaler fitted on {} features, got {}",
@@ -72,7 +79,6 @@ impl MinMaxScaler {
             )));
         }
         reject_non_finite(x, "min-max scaler transform input")?;
-        let mut out = x.clone();
         for i in 0..x.n_rows() {
             for j in 0..x.n_cols() {
                 let v = if self.ranges[j] < 1e-12 {
@@ -80,10 +86,10 @@ impl MinMaxScaler {
                 } else {
                     ((x.get(i, j) - self.mins[j]) / self.ranges[j]).clamp(0.0, 1.0)
                 };
-                out.set(i, j, v);
+                x.set(i, j, v);
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Convenience: fit on `x` and transform it in one call.

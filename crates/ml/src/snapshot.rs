@@ -2,10 +2,9 @@
 //!
 //! Snapshots are a small hand-rolled little-endian binary format (the
 //! environment has no real serde backend — the vendored `serde` derives are
-//! no-ops), mirroring the conventions of the dataset cache format in
-//! `tsg_datasets::cache`: `u32`/`u64` little-endian integers, `f64` stored
-//! as raw bits (so restored models are **bit-identical**, not merely
-//! value-equal), and length-prefixed strings/vectors. Every read returns
+//! no-ops): `u32`/`u64` little-endian integers, `f64` stored as raw bits
+//! (so restored models are **bit-identical**, not merely value-equal), and
+//! length-prefixed strings/vectors. Every read returns
 //! `Option` and fails closed: a truncated or corrupt snapshot can never
 //! panic or produce a half-restored model, it simply reads as `None` and the
 //! caller falls back to refitting.

@@ -163,7 +163,7 @@ impl TraceSink for StageTimer {
         if let Some((entered, started)) = self.current.take() {
             if entered == stage {
                 self.stages
-                    .add(request_stage(stage), started.elapsed().as_micros() as u64);
+                    .add(request_stage(stage), started.elapsed().as_nanos() as u64);
             }
         }
     }
@@ -907,14 +907,14 @@ mod tests {
             .expect("callback fired")
             .unwrap();
         let finished = trace.finish(0);
-        let micros = |s: Stage| finished.stage(s);
+        let nanos = |s: Stage| finished.stage(s);
         // the model pass and the graph-build/motif-count kernels over 32
         // series always take a measurable amount of time; scale stays zero
         // for the uniscale config
-        assert!(micros(Stage::Predict) > 0, "{finished:?}");
-        assert!(micros(Stage::GraphBuild) > 0, "{finished:?}");
-        assert!(micros(Stage::MotifCount) > 0, "{finished:?}");
-        assert_eq!(micros(Stage::Scale), 0, "uniscale never scales");
+        assert!(nanos(Stage::Predict) > 0, "{finished:?}");
+        assert!(nanos(Stage::GraphBuild) > 0, "{finished:?}");
+        assert!(nanos(Stage::MotifCount) > 0, "{finished:?}");
+        assert_eq!(nanos(Stage::Scale), 0, "uniscale never scales");
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   loop ever blocking;
 //! * [`registry`] — named, fitted [`MvgClassifier`](tsg_core::MvgClassifier)
 //!   instances behind `Arc`s with monotonically increasing versions (classify
-//!   requests can pin one), fitted from the [`tsg_datasets`] catalogue
-//!   (through its on-disk cache) or from series supplied in the request;
+//!   requests can pin one), fitted from the [`tsg_datasets`] catalogue or
+//!   from series supplied in the request;
 //! * [`batcher`] — ONE shared micro-batch scheduler for all models:
 //!   concurrent classify requests coalesce into per-model batches (tunable
 //!   max size / max wait), each batch extracts features on the shared

@@ -4,7 +4,7 @@
 //!
 //! Everything is lock-free (`AtomicU64`) so the hot classify path never
 //! serialises on a metrics mutex. Histogram sums are accumulated in
-//! micro-units (`value * 1e6` rounded) to stay in integer atomics.
+//! nano-units (`value * 1e9` rounded) to stay in integer atomics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use tsg_trace::{FinishedTrace, Stage};
@@ -16,7 +16,7 @@ pub struct Histogram {
     /// One counter per bound plus the `+Inf` bucket.
     counts: Vec<AtomicU64>,
     total: AtomicU64,
-    sum_micros: AtomicU64,
+    sum_nanos: AtomicU64,
 }
 
 impl Histogram {
@@ -27,7 +27,7 @@ impl Histogram {
             bounds: bounds.to_vec(),
             counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
             total: AtomicU64::new(0),
-            sum_micros: AtomicU64::new(0),
+            sum_nanos: AtomicU64::new(0),
         }
     }
 
@@ -40,8 +40,8 @@ impl Histogram {
             .unwrap_or(self.bounds.len());
         self.counts[bucket].fetch_add(1, Ordering::Relaxed);
         self.total.fetch_add(1, Ordering::Relaxed);
-        let micros = (value * 1e6).round().max(0.0) as u64;
-        self.sum_micros.fetch_add(micros, Ordering::Relaxed);
+        let nanos = (value * 1e9).round().max(0.0) as u64;
+        self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
     /// Number of observations.
@@ -51,7 +51,7 @@ impl Histogram {
 
     /// Sum of observations.
     pub fn sum(&self) -> f64 {
-        self.sum_micros.load(Ordering::Relaxed) as f64 / 1e6
+        self.sum_nanos.load(Ordering::Relaxed) as f64 / 1e9
     }
 
     /// Renders the histogram in Prometheus text format (cumulative buckets).
@@ -78,7 +78,7 @@ impl Histogram {
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .collect();
-        let sum_micros = self.sum_micros.load(Ordering::Relaxed);
+        let sum_nanos = self.sum_nanos.load(Ordering::Relaxed);
         let sep = if label.is_empty() { "" } else { "," };
         let mut cumulative = 0u64;
         for (bound, count) in self.bounds.iter().zip(&snapshot) {
@@ -96,7 +96,7 @@ impl Histogram {
         } else {
             format!("{{{label}}}")
         };
-        out.push_str(&format!("{name}_sum{suffix} {}\n", sum_micros as f64 / 1e6));
+        out.push_str(&format!("{name}_sum{suffix} {}\n", sum_nanos as f64 / 1e9));
         out.push_str(&format!("{name}_count{suffix} {cumulative}\n"));
     }
 }
@@ -235,13 +235,13 @@ impl Default for ServerMetrics {
 
 impl ServerMetrics {
     /// Feeds every stage the finished trace entered into the per-stage
-    /// histograms, sub-µs spans (recorded as 0 µs) included. Stages the
+    /// histograms, at nanosecond resolution, 0-ns spans included. Stages the
     /// request never entered — a `/healthz` has no `predict` — are skipped.
     pub fn observe_stages(&self, trace: &FinishedTrace) {
         let stages = Stage::ALL.iter().zip(&self.stage_seconds);
         for ((stage, histogram), entered) in stages.zip(trace.entered) {
             if entered {
-                histogram.observe(trace.stage(*stage) as f64 / 1e6);
+                histogram.observe(trace.stage(*stage) as f64 / 1e9);
             }
         }
     }
@@ -434,8 +434,8 @@ mod tests {
     fn stage_histograms_render_labeled_series() {
         let m = ServerMetrics::default();
         let trace = tsg_trace::ActiveTrace::begin("/x", 0);
-        trace.add_micros(Stage::Parse, 30); // 30 µs
-        trace.add_micros(Stage::Predict, 2_000); // 2 ms
+        trace.add_nanos(Stage::Parse, 30_000); // 30 µs
+        trace.add_nanos(Stage::Predict, 2_000_000); // 2 ms
         m.observe_stages(&trace.finish(0));
         let text = m.render(0, 0.0, 0);
         assert!(text.contains("# TYPE tsg_serve_stage_seconds histogram\n"));
@@ -468,13 +468,20 @@ mod tests {
     fn zero_micro_entered_stages_are_observed_and_unentered_ones_are_not() {
         let m = ServerMetrics::default();
         let trace = tsg_trace::ActiveTrace::begin("/x", 0);
-        trace.add_micros(Stage::Parse, 0); // a sub-µs parse truncates to 0
+        trace.record(Stage::Parse, std::time::Duration::from_nanos(300));
         m.observe_stages(&trace.finish(0));
         let text = m.render(0, 0.0, 0);
         assert!(
             text.contains("tsg_serve_stage_seconds_count{stage=\"parse\"} 1\n"),
             "{text}"
         );
+        // a sub-µs parse is observed as its own duration, not as 0
+        let parse_sum: f64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix("tsg_serve_stage_seconds_sum{stage=\"parse\"} "))
+            .and_then(|v| v.parse().ok())
+            .expect("parse sum line");
+        assert_eq!(parse_sum, 3e-7, "{text}");
         assert!(
             text.contains("tsg_serve_stage_seconds_bucket{stage=\"parse\",le=\"0.000025\"} 1\n"),
             "{text}"

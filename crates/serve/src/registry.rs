@@ -3,11 +3,10 @@
 //!
 //! Models are fitted either from the [`tsg_datasets`] catalogue — resolved
 //! through the unified [`tsg_datasets::DatasetSource`], so a real UCR
-//! directory (`TSG_UCR_DIR`) takes precedence and the on-disk dataset cache
-//! keeps refits of a known dataset from regenerating its series — or from
+//! directory (`TSG_UCR_DIR`) takes precedence over synthesis — or from
 //! training series supplied inline in the fit request. Each model records
-//! the provenance of its training split (`synthetic` / `cached` / `real` /
-//! `inline`) in its [`ModelInfo`].
+//! the provenance of its training split (`synthetic` / `real` / `inline`)
+//! in its [`ModelInfo`].
 //!
 //! Every successful fit is stamped with a registry-wide monotonically
 //! increasing **version** ([`ModelInfo::version`]). Fitting replaces an
@@ -107,8 +106,8 @@ pub struct ModelInfo {
     pub n_features: usize,
     /// Wall-clock fit time in seconds.
     pub fit_seconds: f64,
-    /// Where the training split came from: `synthetic`, `cached`, `real`
-    /// (a UCR directory via `TSG_UCR_DIR`) or `inline`.
+    /// Where the training split came from: `synthetic`, `real` (a UCR
+    /// directory via `TSG_UCR_DIR`) or `inline`.
     pub provenance: String,
     /// The importance-selected feature subset a pruned model extracts, in
     /// wide-vector order; `None` for unpruned models (full catalogue of the
@@ -272,10 +271,10 @@ impl ModelRegistry {
             .ok_or_else(|| RegistryError::UnknownConfig(config_name.to_string()))?;
         let (train, dataset_name, provenance) = match source {
             TrainingSource::Catalogue { dataset, options } => {
-                // the unified resolver: TSG_UCR_DIR (real files) first, the
-                // on-disk cache behind it, synthesis last. Only the training
-                // split is materialised — fitting never touches (or hashes)
-                // the often much larger _TEST file.
+                // the unified resolver: TSG_UCR_DIR (real files) first,
+                // synthesis behind it. Only the training split is
+                // materialised — fitting never touches (or hashes) the often
+                // much larger _TEST file.
                 let (train, provenance) = tsg_datasets::DatasetSource::from_env(options)
                     .resolve_split(&dataset, tsg_datasets::Split::Train)
                     .map_err(|e| match e {
@@ -504,12 +503,8 @@ mod tests {
         assert_eq!(info.n_classes, 2);
         assert!(info.n_features > 0);
         // no TSG_UCR_DIR in the test environment: catalogue fits resolve
-        // through the cache (or pure synthesis when the cache dir is absent)
-        assert!(
-            info.provenance == "cached" || info.provenance == "synthetic",
-            "unexpected provenance {}",
-            info.provenance
-        );
+        // by synthesis
+        assert_eq!(info.provenance, "synthetic");
         let entry = r.get("demo").unwrap();
         let series = vec![TimeSeries::new((0..64).map(|t| (t as f64).sin()).collect())];
         let out = r

@@ -281,12 +281,13 @@ fn list_models(state: &Arc<ServerState>) -> Response {
     Response::json(200, &Json::obj(vec![("models", Json::Arr(models))]))
 }
 
-/// One finished trace as JSON. Every stage key is always present (zeros
-/// included) so scrapers never need existence checks.
+/// One finished trace as JSON, in whole microseconds. Every stage key is
+/// always present (zeros included) so scrapers never need existence checks.
 fn trace_json(trace: &FinishedTrace) -> Json {
+    let micros = |nanos: u64| Json::Num((nanos / 1000) as f64);
     let stages = Stage::ALL
         .iter()
-        .map(|&stage| (stage.as_str(), Json::Num(trace.stage(stage) as f64)))
+        .map(|&stage| (stage.as_str(), micros(trace.stage(stage))))
         .collect();
     Json::obj(vec![
         ("trace_id", Json::Str(format!("{:016x}", trace.id))),
@@ -300,7 +301,7 @@ fn trace_json(trace: &FinishedTrace) -> Json {
                 .unwrap_or(Json::Null),
         ),
         ("status", Json::Num(f64::from(trace.status))),
-        ("total_micros", Json::Num(trace.total_micros as f64)),
+        ("total_micros", micros(trace.total_nanos)),
         ("stages_micros", Json::obj(stages)),
         ("faults_injected", Json::Num(trace.faults_injected as f64)),
         ("seq", Json::Num(trace.seq as f64)),
@@ -310,10 +311,10 @@ fn trace_json(trace: &FinishedTrace) -> Json {
 /// `GET /debug/traces` — the flight recorder, oldest first. `?slow_ms=N`
 /// keeps only traces at least that slow; `?trace_id=HEX` looks one up.
 fn debug_traces(state: &Arc<ServerState>, request: &Request) -> Response {
-    let slow_micros = match request.query_param("slow_ms") {
+    let slow_nanos = match request.query_param("slow_ms") {
         None => None,
         Some(raw) => match raw.parse::<f64>() {
-            Ok(ms) if ms >= 0.0 && ms.is_finite() => Some((ms * 1000.0) as u64),
+            Ok(ms) if ms >= 0.0 && ms.is_finite() => Some((ms * 1e6) as u64),
             _ => return Response::error(400, "`slow_ms` must be a non-negative number"),
         },
     };
@@ -325,8 +326,8 @@ fn debug_traces(state: &Arc<ServerState>, request: &Request) -> Response {
         },
     };
     let mut traces = state.traces.snapshot();
-    if let Some(min_micros) = slow_micros {
-        traces.retain(|t| t.total_micros >= min_micros);
+    if let Some(min_nanos) = slow_nanos {
+        traces.retain(|t| t.total_nanos >= min_nanos);
     }
     if let Some(id) = wanted_id {
         traces.retain(|t| t.id == id);

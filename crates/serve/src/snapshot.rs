@@ -47,6 +47,10 @@ const FORMAT_VERSION: u32 = 2;
 /// The previous layout (no `features` field), still readable.
 const FORMAT_VERSION_V1: u32 = 1;
 
+/// Installs tried per snapshot: one transient write fault must not cost the
+/// model its warm restart.
+const WRITE_ATTEMPTS: usize = 3;
+
 /// The snapshot file for a model name: a sanitised prefix for debuggability
 /// plus an FNV-1a hash of the full name for uniqueness (wire model names are
 /// arbitrary strings; the filesystem never sees them verbatim).
@@ -76,7 +80,8 @@ pub(crate) fn list_snapshots(dir: &Path) -> Vec<PathBuf> {
 
 /// Atomically writes one model snapshot, returning its path. Every file
 /// touch goes through the injectable seam (`Snap*` fault sites), so chaos
-/// runs can tear, truncate or fail any step of the install.
+/// runs can tear, truncate or fail any step of the install; a failed
+/// install is retried up to [`WRITE_ATTEMPTS`] times.
 pub(crate) fn write_snapshot(
     dir: &Path,
     info: &ModelInfo,
@@ -118,6 +123,20 @@ pub(crate) fn write_snapshot(
     put_u64(&mut bytes, hash);
 
     let path = snapshot_path(dir, &info.name);
+    let mut result = install(&path, &bytes);
+    for _ in 1..WRITE_ATTEMPTS {
+        if result.is_ok() {
+            break;
+        }
+        result = install(&path, &bytes);
+    }
+    result.map(|()| path)
+}
+
+/// One temp-file-plus-rename install of `bytes` at `path`. The temp file is
+/// read back before the rename, because a torn or bit-flipped write reports
+/// success.
+fn install(path: &Path, bytes: &[u8]) -> io::Result<()> {
     static TMP_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let tmp = path.with_extension(format!(
         "tmp.{}.{}",
@@ -126,16 +145,19 @@ pub(crate) fn write_snapshot(
     ));
     let result = (|| {
         let mut file = fsio::create(&tmp, Site::SnapOpen)?;
-        fsio::write_all(&mut file, &bytes, Site::SnapWrite)?;
+        fsio::write_all(&mut file, bytes, Site::SnapWrite)?;
         fsio::sync_all(&file, Site::SnapSync)?;
         drop(file);
-        fsio::rename(&tmp, &path, Site::SnapRename)
+        if fsio::read(&tmp, Site::SnapOpen)? != bytes {
+            return Err(corrupt("written bytes did not read back"));
+        }
+        fsio::rename(&tmp, path, Site::SnapRename)
     })();
     if result.is_err() {
         // a failed install must not leave temp litter behind
         let _ = fsio::remove_file(&tmp);
     }
-    result.map(|()| path)
+    result
 }
 
 fn corrupt(detail: &str) -> io::Error {
@@ -234,7 +256,7 @@ mod tests {
             n_classes: 2,
             n_features: 27,
             fit_seconds: 0.125,
-            provenance: "cached".into(),
+            provenance: "synthetic".into(),
             features: None,
         }
     }
@@ -260,7 +282,7 @@ mod tests {
         assert_eq!(back.n_classes, 2);
         assert_eq!(back.n_features, 27);
         assert_eq!(back.fit_seconds.to_bits(), 0.125f64.to_bits());
-        assert_eq!(back.provenance, "cached");
+        assert_eq!(back.provenance, "synthetic");
         assert_eq!(seed, 9);
         assert_eq!(body, payload);
         assert_eq!(list_snapshots(&dir), vec![path.clone()]);

@@ -32,9 +32,9 @@ const DATASET: &str = "BeetleFly";
 const SEED: u64 = 7;
 const CONFIG: &str = "uvg-fast";
 
-/// Both the fault plan and `TSG_DATASET_CACHE_DIR` are process-global, so
-/// the tests in this binary must not overlap: a schedule armed by one test
-/// would inject faults into another's server.
+/// The fault plan is process-global, so the tests in this binary must not
+/// overlap: a schedule armed by one test would inject faults into another's
+/// server.
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -99,9 +99,8 @@ fn fit_body() -> Json {
 
 /// The reference: the identical model fitted directly, with injection off.
 fn reference() -> (tsg_ts::Dataset, Vec<Vec<f64>>) {
-    let (train, test) =
-        tsg_datasets::cache::generate_by_name_scaled_cached(DATASET, archive_options())
-            .expect("reference dataset");
+    let (train, test) = tsg_datasets::archive::generate_by_name_scaled(DATASET, archive_options())
+        .expect("reference dataset");
     let mut clf = MvgClassifier::new(config_named(CONFIG, SEED, 1).expect("config"));
     clf.fit(&train).expect("reference fit");
     let expected = clf.predict_proba(&test).expect("reference proba");
@@ -131,11 +130,6 @@ struct Schedule {
     name: &'static str,
     seed: u64,
     plan: &'static str,
-    /// Whether completed classifications must still be bit-identical. Off
-    /// only for silent cache bit rot: the cache format detects structural
-    /// damage, not flipped payload bits, so a poisoned cache legitimately
-    /// yields a *different* (still valid) model.
-    check_bits: bool,
 }
 
 const SCHEDULES: &[Schedule] = &[
@@ -144,66 +138,40 @@ const SCHEDULES: &[Schedule] = &[
         name: "eintr-reads",
         seed: 0xA1,
         plan: "conn_read:eintr:0.3",
-        check_bits: true,
     },
     Schedule {
         name: "spurious-wakeups",
         seed: 0xA2,
         plan: "conn_read:eagain:0.3,conn_write:eagain:0.3,epoll_wait:eintr:0.2",
-        check_bits: true,
     },
     Schedule {
         name: "short-io",
         seed: 0xA3,
         plan: "conn_read:short:0.3,conn_write:short:0.5",
-        check_bits: true,
     },
     // network: destructive faults — requests may die, never hang or corrupt
     Schedule {
         name: "peer-resets",
         seed: 0xA4,
         plan: "conn_read:reset:0.15,conn_write:reset:0.1",
-        check_bits: true,
     },
     Schedule {
         name: "accept-failures",
         seed: 0xA5,
         plan: "accept:err:0.5,epoll_wait:err:0.1",
-        check_bits: true,
-    },
-    // file: the dataset cache degrades to regeneration, never to bad data
-    Schedule {
-        name: "cache-unreadable",
-        seed: 0xB1,
-        plan: "cache_open:err:0.8",
-        check_bits: true,
-    },
-    Schedule {
-        name: "cache-torn-writes",
-        seed: 0xB2,
-        plan: "cache_write:torn:0.6,cache_rename:err:0.3,cache_sync:err:0.3",
-        check_bits: true,
     },
     // file: snapshots are best-effort — a failed write never fails the fit
     Schedule {
         name: "snapshot-failures",
         seed: 0xB3,
         plan: "snap_write:torn:0.5,snap_rename:err:0.7,snap_sync:err:0.5",
-        check_bits: true,
-    },
-    Schedule {
-        name: "cache-bit-rot",
-        seed: 0xB4,
-        plan: "cache_write:bitflip:1",
-        check_bits: false,
     },
     // mixed: every layer at once
     Schedule {
         name: "kitchen-sink",
         seed: 0xC1,
         plan: "conn_read:eintr:0.2,conn_write:short:0.2,accept:err:0.2,\
-               cache_write:torn:0.4,snap_write:bitflip:0.5,snap_rename:err:0.3",
-        check_bits: true,
+               snap_write:err:0.4,snap_write:bitflip:0.5,snap_rename:err:0.3",
     },
 ];
 
@@ -212,18 +180,12 @@ fn seeded_fault_schedules_never_hang_corrupt_or_panic() {
     let _guard = lock();
     // reference expected probabilities, computed with injection off
     tsg_faults::disable();
-    std::env::set_var(
-        tsg_datasets::cache::CACHE_DIR_ENV,
-        temp_dir("schedules-reference"),
-    );
     let (test, expected) = reference();
 
     for schedule in SCHEDULES {
-        // fresh cache + snapshot dirs per schedule: a schedule that poisons
-        // its cache must not leak corruption into the next one
-        let cache_dir = temp_dir(&format!("cache-{}", schedule.name));
+        // a fresh snapshot dir per schedule: a schedule that poisons its
+        // snapshots must not leak corruption into the next one
         let snap_dir = temp_dir(&format!("snap-{}", schedule.name));
-        std::env::set_var(tsg_datasets::cache::CACHE_DIR_ENV, &cache_dir);
         let injected_before = tsg_faults::injected_total();
         tsg_faults::configure(schedule.seed, schedule.plan)
             .unwrap_or_else(|e| panic!("schedule {}: bad plan: {e}", schedule.name));
@@ -231,7 +193,7 @@ fn seeded_fault_schedules_never_hang_corrupt_or_panic() {
 
         let (addr, handle) = start_server(Some(snap_dir.clone()));
 
-        // the fit exercises cache + snapshot seams; destructive schedules
+        // the fit exercises the snapshot seams; destructive schedules
         // may kill attempts, so retry across reconnects
         let fit = resilient_call(&addr, "POST", "/models/m/fit", Some(&fit_body()), 12)
             .unwrap_or_else(|| panic!("schedule {}: fit never completed", schedule.name));
@@ -240,9 +202,8 @@ fn seeded_fault_schedules_never_hang_corrupt_or_panic() {
             if fit.0 == 200 {
                 break;
             }
-            // a mid-stream cache corruption fails one fit cleanly; the next
-            // attempt regenerates — what must never happen is a hang or 500
-            // loop that outlives the retry budget
+            // a failed fit may be retried — what must never happen is a
+            // hang or 500 loop that outlives the retry budget
             fit = resilient_call(&addr, "POST", "/models/m/fit", Some(&fit_body()), 12)
                 .unwrap_or_else(|| panic!("schedule {}: refit never completed", schedule.name));
         }
@@ -268,9 +229,6 @@ fn seeded_fault_schedules_never_hang_corrupt_or_panic() {
                 continue;
             }
             completed += 1;
-            if !schedule.check_bits {
-                continue;
-            }
             let proba: Vec<f64> = reply.get("probabilities").unwrap().as_array().unwrap()[0]
                 .as_array()
                 .unwrap()
@@ -310,7 +268,6 @@ fn seeded_fault_schedules_never_hang_corrupt_or_panic() {
             .join()
             .unwrap_or_else(|_| panic!("schedule {}: server thread panicked", schedule.name));
 
-        std::fs::remove_dir_all(&cache_dir).ok();
         std::fs::remove_dir_all(&snap_dir).ok();
     }
 }
@@ -319,8 +276,6 @@ fn seeded_fault_schedules_never_hang_corrupt_or_panic() {
 fn injected_faults_are_visible_on_request_traces() {
     let _guard = lock();
     tsg_faults::disable();
-    let cache_dir = temp_dir("trace-faults-cache");
-    std::env::set_var(tsg_datasets::cache::CACHE_DIR_ENV, &cache_dir);
 
     // fit with injection off so the model comes up without interference
     let (addr, handle) = start_server(None);
@@ -364,14 +319,12 @@ fn injected_faults_are_visible_on_request_traces() {
     let (status, _) = resilient_call(&addr, "POST", "/shutdown", None, 4).expect("shutdown");
     assert_eq!(status, 200);
     handle.join().expect("server thread panicked");
-    std::fs::remove_dir_all(&cache_dir).ok();
 }
 
 /// Spawns the real `tsg-serve` binary and returns the child plus its stdout
 /// reader, already advanced past the `listening on` line (whose address is
 /// returned). Lines seen on the way are collected for assertions.
 fn spawn_server(
-    cache_dir: &PathBuf,
     snap_dir: &PathBuf,
 ) -> (
     std::process::Child,
@@ -396,7 +349,6 @@ fn spawn_server(
             "--snapshot-dir",
         ])
         .arg(snap_dir)
-        .env(tsg_datasets::cache::CACHE_DIR_ENV, cache_dir)
         .stdout(std::process::Stdio::piped())
         .spawn()
         .expect("spawn tsg-serve");
@@ -424,13 +376,11 @@ fn spawn_server(
 fn kill_mid_traffic_then_warm_restart_is_bit_identical() {
     let _guard = lock();
     tsg_faults::disable();
-    let cache_dir = temp_dir("kill-cache");
     let snap_dir = temp_dir("kill-snap");
-    std::env::set_var(tsg_datasets::cache::CACHE_DIR_ENV, &cache_dir);
     let (test, expected) = reference();
 
     // boot 1: cold fit via --preload, snapshot written as part of the fit
-    let (mut child, _stdout, addr, _boot) = spawn_server(&cache_dir, &snap_dir);
+    let (mut child, _stdout, addr, _boot) = spawn_server(&snap_dir);
 
     // traffic: classify in a loop; after a few successes, kill mid-stream
     let probe = Json::obj(vec![
@@ -462,7 +412,7 @@ fn kill_mid_traffic_then_warm_restart_is_bit_identical() {
 
     // boot 2: same snapshot dir — the model must come back from the
     // snapshot (no refit), with its predictions bit-identical
-    let (mut child2, mut stdout2, addr2, boot2) = spawn_server(&cache_dir, &snap_dir);
+    let (mut child2, mut stdout2, addr2, boot2) = spawn_server(&snap_dir);
     assert!(
         boot2.iter().any(|l| l.contains("warm restart: restored 1")),
         "no warm-restart line in boot log: {boot2:?}"
@@ -519,7 +469,37 @@ fn kill_mid_traffic_then_warm_restart_is_bit_identical() {
         "server did not stop cleanly: {tail}"
     );
 
-    std::fs::remove_dir_all(&cache_dir).ok();
+    std::fs::remove_dir_all(&snap_dir).ok();
+}
+
+#[test]
+fn a_transient_snapshot_write_fault_is_retried_not_lost() {
+    let _guard = lock();
+    tsg_faults::disable();
+    let snap_dir = temp_dir("retry-snap");
+    let (addr, handle) = start_server(Some(snap_dir.clone()));
+    // this schedule tears the first snapshot write, which reports success;
+    // the second install attempt draws no fault
+    tsg_faults::configure(42, "snap_write:torn:0.3").expect("plan");
+    let injected_before = tsg_faults::injected_total();
+    let fit = resilient_call(&addr, "POST", "/models/m/fit", Some(&fit_body()), 4)
+        .expect("fit never completed");
+    let injected = tsg_faults::injected_total() - injected_before;
+    tsg_faults::disable();
+    assert_eq!(fit.0, 200, "fit failed: {}", fit.1);
+    assert!(injected >= 1, "the first install must have been torn");
+    let (status, _) = resilient_call(&addr, "POST", "/shutdown", None, 4).expect("shutdown");
+    assert_eq!(status, 200);
+    handle.join().expect("server thread panicked");
+
+    // a fresh server restores the model from the retried snapshot
+    let restarted = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        snapshot_dir: Some(snap_dir.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral port");
+    assert_eq!(restarted.registry().warm_restart(), 1, "snapshot lost");
     std::fs::remove_dir_all(&snap_dir).ok();
 }
 

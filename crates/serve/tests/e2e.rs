@@ -18,17 +18,6 @@ const DATASET: &str = "BeetleFly";
 const SEED: u64 = 7;
 const CONFIG: &str = "uvg-fast";
 
-/// Points the dataset cache at a per-process temp directory so the test
-/// neither depends on nor litters the workspace (integration tests run with
-/// the package directory as cwd).
-fn isolate_dataset_cache() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let dir = std::env::temp_dir().join(format!("tsg-serve-e2e-cache-{}", std::process::id()));
-        std::env::set_var(tsg_datasets::cache::CACHE_DIR_ENV, dir);
-    });
-}
-
 fn archive_options() -> ArchiveOptions {
     ArchiveOptions::bounded(16, 96, SEED)
 }
@@ -72,10 +61,10 @@ fn start_server() -> (String, std::thread::JoinHandle<()>) {
 }
 
 /// The reference: the identical model fitted directly against the identical
-/// (cached) training split.
+/// training split.
 fn direct_classifier() -> MvgClassifier {
     let (train, _test) =
-        tsg_datasets::cache::generate_by_name_scaled_cached(DATASET, archive_options()).unwrap();
+        tsg_datasets::archive::generate_by_name_scaled(DATASET, archive_options()).unwrap();
     let mut clf = MvgClassifier::new(config_named(CONFIG, SEED, 1).unwrap());
     clf.fit(&train).unwrap();
     clf
@@ -87,7 +76,6 @@ fn series_json(series: &tsg_ts::TimeSeries) -> Json {
 
 #[test]
 fn concurrent_serving_is_bit_identical_to_direct_classification() {
-    isolate_dataset_cache();
     let (addr, server_handle) = start_server();
     let mut admin = Client::connect(&addr);
 
@@ -122,7 +110,7 @@ fn concurrent_serving_is_bit_identical_to_direct_classification() {
         "served model extracted a different feature set"
     );
     let (_train, test) =
-        tsg_datasets::cache::generate_by_name_scaled_cached(DATASET, archive_options()).unwrap();
+        tsg_datasets::archive::generate_by_name_scaled(DATASET, archive_options()).unwrap();
     let expected = direct.predict(&test).unwrap();
     let expected_proba = direct.predict_proba(&test).unwrap();
 
@@ -242,7 +230,6 @@ fn concurrent_serving_is_bit_identical_to_direct_classification() {
 #[test]
 fn malformed_wire_requests_get_4xx_and_the_connection_survives() {
     use std::io::Write;
-    isolate_dataset_cache();
     let (addr, server_handle) = start_server();
     let mut client = Client::connect(&addr);
 
@@ -338,7 +325,6 @@ fn connection_closed(client: &mut Client) -> bool {
 #[test]
 fn wire_protocol_regressions() {
     use std::io::Write;
-    isolate_dataset_cache();
     let (addr, server_handle) = start_server();
 
     // regression 1: an HTTP/1.0 request without a Connection header must be
@@ -411,7 +397,6 @@ fn wire_protocol_regressions() {
 #[test]
 fn pipelined_requests_get_in_order_responses() {
     use std::io::Write;
-    isolate_dataset_cache();
     let (addr, server_handle) = start_server();
     let mut admin = Client::connect(&addr);
 
@@ -504,7 +489,6 @@ fn pipelined_requests_get_in_order_responses() {
 
 #[test]
 fn flight_recorder_attributes_stage_latency_to_classify_traces() {
-    isolate_dataset_cache();
     let (addr, server_handle) = start_server();
     let mut client = Client::connect(&addr);
 
@@ -618,7 +602,6 @@ fn flight_recorder_attributes_stage_latency_to_classify_traces() {
 
 #[test]
 fn version_pinning_detects_hot_swaps() {
-    isolate_dataset_cache();
     let (addr, server_handle) = start_server();
     let mut client = Client::connect(&addr);
 
@@ -691,7 +674,6 @@ fn version_pinning_detects_hot_swaps() {
 
 #[test]
 fn invalid_requests_are_rejected_not_fatal() {
-    isolate_dataset_cache();
     let (addr, server_handle) = start_server();
     let mut client = Client::connect(&addr);
 
@@ -752,7 +734,6 @@ fn invalid_requests_are_rejected_not_fatal() {
 #[test]
 fn one_non_finite_series_fails_only_its_own_request() {
     use std::io::Write;
-    isolate_dataset_cache();
     // a long coalescing window, so the three pipelined requests below
     // share one batch
     let server = Server::bind(ServeConfig {
@@ -779,7 +760,7 @@ fn one_non_finite_series_fails_only_its_own_request() {
     assert_eq!(status, 200, "fit failed: {info}");
 
     let (train, test) =
-        tsg_datasets::cache::generate_by_name_scaled_cached(DATASET, archive_options()).unwrap();
+        tsg_datasets::archive::generate_by_name_scaled(DATASET, archive_options()).unwrap();
     let mut direct = MvgClassifier::new(config_named("wide", SEED, 1).unwrap());
     direct.fit(&train).unwrap();
     let good: Vec<tsg_ts::TimeSeries> = test.series().iter().take(2).cloned().collect();
@@ -846,6 +827,85 @@ fn one_non_finite_series_fails_only_its_own_request() {
     }
 
     let (status, _) = admin.call("POST", "/shutdown", None);
+    assert_eq!(status, 200);
+    server_handle.join().expect("server thread panicked");
+}
+
+/// The sample names `/metrics` exposes, sorted and deduplicated: the name
+/// of every non-comment line, without labels or value.
+fn metric_names(text: &str) -> Vec<String> {
+    let mut names: Vec<String> = text
+        .lines()
+        .filter(|line| !line.is_empty() && !line.starts_with('#'))
+        .filter_map(|line| line.split(['{', ' ']).next())
+        .map(str::to_string)
+        .collect();
+    names.sort();
+    names.dedup();
+    names
+}
+
+#[test]
+fn metrics_name_set_is_pinned() {
+    let (addr, server_handle) = start_server();
+    let mut client = Client::connect(&addr);
+    let fit = Json::obj(vec![
+        ("dataset", Json::Str(DATASET.into())),
+        ("config", Json::Str(CONFIG.into())),
+        ("seed", Json::Num(SEED as f64)),
+        ("max_instances", Json::Num(8.0)),
+        ("max_length", Json::Num(64.0)),
+    ]);
+    let (status, info) = client.call("POST", "/models/m/fit", Some(&fit));
+    assert_eq!(status, 200, "{info}");
+    let probe = Json::obj(vec![(
+        "series",
+        Json::parse("[[1, 2, 3, 2, 1, 2]]").unwrap(),
+    )]);
+    let (status, reply) = client.call("POST", "/models/m/classify", Some(&probe));
+    assert_eq!(status, 200, "{reply}");
+
+    tsg_serve::http::send_request(&mut client.stream, "GET", "/metrics", None).unwrap();
+    let (status, body) = tsg_serve::http::read_response(&mut client.reader).unwrap();
+    assert_eq!(status, 200);
+    let names = metric_names(&String::from_utf8(body).unwrap());
+    let expected = [
+        "tsg_serve_batch_size_bucket",
+        "tsg_serve_batch_size_count",
+        "tsg_serve_batch_size_sum",
+        "tsg_serve_classify_batches_total",
+        "tsg_serve_classify_latency_seconds_bucket",
+        "tsg_serve_classify_latency_seconds_count",
+        "tsg_serve_classify_latency_seconds_sum",
+        "tsg_serve_classify_rejected_total",
+        "tsg_serve_classify_requests_total",
+        "tsg_serve_classify_series_total",
+        "tsg_serve_connections_accepted_total",
+        "tsg_serve_connections_open",
+        "tsg_serve_connections_reset_total",
+        "tsg_serve_faults_injected_total",
+        "tsg_serve_models",
+        "tsg_serve_models_fitted_total",
+        "tsg_serve_request_latency_seconds_bucket",
+        "tsg_serve_request_latency_seconds_count",
+        "tsg_serve_request_latency_seconds_sum",
+        "tsg_serve_requests_shed_total",
+        "tsg_serve_requests_total",
+        "tsg_serve_responses_2xx_total",
+        "tsg_serve_responses_4xx_total",
+        "tsg_serve_responses_5xx_total",
+        "tsg_serve_snapshot_load_failures_total",
+        "tsg_serve_stage_seconds_bucket",
+        "tsg_serve_stage_seconds_count",
+        "tsg_serve_stage_seconds_sum",
+        "tsg_serve_uptime_seconds",
+    ];
+    assert_eq!(
+        names, expected,
+        "a /metrics name disappeared or was renamed"
+    );
+
+    let (status, _) = client.call("POST", "/shutdown", None);
     assert_eq!(status, 200);
     server_handle.join().expect("server thread panicked");
 }

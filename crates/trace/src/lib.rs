@@ -111,7 +111,7 @@ impl Stage {
     }
 }
 
-/// A stack-local accumulator of per-stage microseconds.
+/// A stack-local accumulator of per-stage nanoseconds.
 ///
 /// Extraction workers time sub-stages into one of these (plain `u64`s,
 /// owned by the worker's stack frame — no sharing, no atomics) and flush
@@ -120,23 +120,23 @@ impl Stage {
 /// per-thread part is ownership, the lock-free part is the flush.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StageSet {
-    micros: [u64; Stage::COUNT],
+    nanos: [u64; Stage::COUNT],
     entered: u32,
 }
 
 impl StageSet {
-    /// Adds `micros` to a stage (saturating; a request cannot overflow
-    /// u64 microseconds in practice, but the recorder must not panic).
-    pub fn add(&mut self, stage: Stage, micros: u64) {
-        if let Some(cell) = self.micros.get_mut(stage.index()) {
-            *cell = cell.saturating_add(micros);
+    /// Adds `nanos` to a stage (saturating; a request cannot overflow
+    /// u64 nanoseconds in practice, but the recorder must not panic).
+    pub fn add(&mut self, stage: Stage, nanos: u64) {
+        if let Some(cell) = self.nanos.get_mut(stage.index()) {
+            *cell = cell.saturating_add(nanos);
             self.entered |= stage.bit();
         }
     }
 
-    /// Accumulated microseconds for one stage.
+    /// Accumulated nanoseconds for one stage.
     pub fn get(&self, stage: Stage) -> u64 {
-        self.micros.get(stage.index()).copied().unwrap_or(0)
+        self.nanos.get(stage.index()).copied().unwrap_or(0)
     }
 
     /// True when no stage has been entered.
@@ -144,12 +144,12 @@ impl StageSet {
         self.entered == 0
     }
 
-    /// Flushes every entered stage into `trace`, 0-µs ones included (one
+    /// Flushes every entered stage into `trace`, 0-ns ones included (one
     /// atomic add each).
     pub fn flush(&self, trace: &ActiveTrace) {
-        for (stage, micros) in Stage::ALL.iter().zip(self.micros.iter()) {
+        for (stage, nanos) in Stage::ALL.iter().zip(self.nanos.iter()) {
             if self.entered & stage.bit() != 0 {
-                trace.add_micros(*stage, *micros);
+                trace.add_nanos(*stage, *nanos);
             }
         }
     }
@@ -171,7 +171,7 @@ pub struct ActiveTrace {
     id: u64,
     path: String,
     started: Instant,
-    stage_micros: [AtomicU64; Stage::COUNT],
+    stage_nanos: [AtomicU64; Stage::COUNT],
     entered: AtomicU32,
     status: AtomicU32,
     model: OnceLock<String>,
@@ -198,7 +198,7 @@ impl ActiveTrace {
             id: NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed),
             path: path.to_string(),
             started,
-            stage_micros: std::array::from_fn(|_| AtomicU64::new(0)),
+            stage_nanos: std::array::from_fn(|_| AtomicU64::new(0)),
             entered: AtomicU32::new(0),
             status: AtomicU32::new(0),
             model: OnceLock::new(),
@@ -216,18 +216,18 @@ impl ActiveTrace {
         &self.path
     }
 
-    /// Adds microseconds to a stage and marks it entered, even when
-    /// `micros` is 0 (lock-free).
-    pub fn add_micros(&self, stage: Stage, micros: u64) {
-        if let Some(cell) = self.stage_micros.get(stage.index()) {
-            cell.fetch_add(micros, Ordering::Relaxed);
+    /// Adds nanoseconds to a stage and marks it entered, even when
+    /// `nanos` is 0 (lock-free).
+    pub fn add_nanos(&self, stage: Stage, nanos: u64) {
+        if let Some(cell) = self.stage_nanos.get(stage.index()) {
+            cell.fetch_add(nanos, Ordering::Relaxed);
             self.entered.fetch_or(stage.bit(), Ordering::Relaxed);
         }
     }
 
     /// Records an elapsed duration against a stage.
     pub fn record(&self, stage: Stage, elapsed: Duration) {
-        self.add_micros(stage, elapsed.as_micros() as u64);
+        self.add_nanos(stage, elapsed.as_nanos() as u64);
     }
 
     /// Starts an RAII span: the stage is recorded when the guard drops.
@@ -259,9 +259,9 @@ impl ActiveTrace {
             path: self.path.clone(),
             model: self.model.get().cloned(),
             status: self.status.load(Ordering::Relaxed) as u16,
-            total_micros: self.started.elapsed().as_micros() as u64,
-            stage_micros: std::array::from_fn(|i| {
-                self.stage_micros
+            total_nanos: self.started.elapsed().as_nanos() as u64,
+            stage_nanos: std::array::from_fn(|i| {
+                self.stage_nanos
                     .get(i)
                     .map(|c| c.load(Ordering::Relaxed))
                     .unwrap_or(0)
@@ -304,10 +304,10 @@ pub struct FinishedTrace {
     /// HTTP status of the response (0 when the connection died first).
     pub status: u16,
     /// End-to-end wall time, parse start → finish.
-    pub total_micros: u64,
-    /// Per-stage microseconds, indexed by [`Stage::index`].
-    pub stage_micros: [u64; Stage::COUNT],
-    /// Whether each stage was entered (recorded at all, 0 µs included),
+    pub total_nanos: u64,
+    /// Per-stage nanoseconds, indexed by [`Stage::index`].
+    pub stage_nanos: [u64; Stage::COUNT],
+    /// Whether each stage was entered (recorded at all, 0 ns included),
     /// indexed by [`Stage::index`]; a `/healthz` never enters `predict`.
     pub entered: [bool; Stage::COUNT],
     /// `tsg_faults::injected_total()` delta over the request's lifetime.
@@ -318,15 +318,15 @@ pub struct FinishedTrace {
 }
 
 impl FinishedTrace {
-    /// Microseconds recorded for one stage.
+    /// Nanoseconds recorded for one stage.
     pub fn stage(&self, stage: Stage) -> u64 {
-        self.stage_micros.get(stage.index()).copied().unwrap_or(0)
+        self.stage_nanos.get(stage.index()).copied().unwrap_or(0)
     }
 
-    /// Sum of all stage spans — ≤ `total_micros` by construction (stages
+    /// Sum of all stage spans — ≤ `total_nanos` by construction (stages
     /// are disjoint sub-intervals of the request lifetime).
-    pub fn stage_sum_micros(&self) -> u64 {
-        self.stage_micros.iter().sum()
+    pub fn stage_sum_nanos(&self) -> u64 {
+        self.stage_nanos.iter().sum()
     }
 }
 
@@ -414,8 +414,8 @@ mod tests {
             path: "/test".to_string(),
             model: None,
             status: 200,
-            total_micros: total,
-            stage_micros: [0; Stage::COUNT],
+            total_nanos: total,
+            stage_nanos: [0; Stage::COUNT],
             entered: [false; Stage::COUNT],
             faults_injected: 0,
             seq: 0,
@@ -470,9 +470,9 @@ mod tests {
     #[test]
     fn stage_accounting_accumulates_and_freezes() {
         let trace = ActiveTrace::begin("/models/m/classify", 3);
-        trace.add_micros(Stage::Parse, 10);
-        trace.add_micros(Stage::MotifCount, 5);
-        trace.add_micros(Stage::MotifCount, 7);
+        trace.add_nanos(Stage::Parse, 10);
+        trace.add_nanos(Stage::MotifCount, 5);
+        trace.add_nanos(Stage::MotifCount, 7);
         trace.set_model("m");
         trace.set_status(200);
         let done = trace.finish(5);
@@ -484,7 +484,7 @@ mod tests {
         assert_eq!(done.model.as_deref(), Some("m"));
         assert_eq!(done.status, 200);
         assert_eq!(done.faults_injected, 2);
-        assert_eq!(done.stage_sum_micros(), 22);
+        assert_eq!(done.stage_sum_nanos(), 22);
     }
 
     #[test]
@@ -494,7 +494,7 @@ mod tests {
             let _span = trace.span(Stage::Serialize);
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert!(trace.finish(0).stage(Stage::Serialize) >= 1_000);
+        assert!(trace.finish(0).stage(Stage::Serialize) >= 1_000_000);
     }
 
     #[test]
@@ -523,7 +523,8 @@ mod tests {
         set.flush(&trace);
         trace.record(Stage::Parse, Duration::from_nanos(300));
         let done = trace.finish(0);
-        assert_eq!(done.stage(Stage::Parse), 0);
+        // a sub-µs span keeps its nanoseconds
+        assert_eq!(done.stage(Stage::Parse), 300);
         assert!(done.entered[Stage::Parse.index()]);
         assert!(done.entered[Stage::MotifCount.index()]);
         assert!(!done.entered[Stage::Scale.index()]);
@@ -542,7 +543,7 @@ mod tests {
         assert_eq!(held.len(), 4);
         let seqs: Vec<u64> = held.iter().map(|t| t.seq).collect();
         assert_eq!(seqs, [6, 7, 8, 9]);
-        let totals: Vec<u64> = held.iter().map(|t| t.total_micros).collect();
+        let totals: Vec<u64> = held.iter().map(|t| t.total_nanos).collect();
         assert_eq!(totals, [6, 7, 8, 9]);
     }
 

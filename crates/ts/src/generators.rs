@@ -65,17 +65,6 @@ pub fn harmonic_mixture<R: Rng + ?Sized>(
         .collect()
 }
 
-/// Gaussian random walk (Brownian-motion-like, Hurst ≈ 0.5).
-pub fn random_walk<R: Rng + ?Sized>(rng: &mut R, n: usize, step_std: f64) -> Vec<f64> {
-    let mut out = Vec::with_capacity(n);
-    let mut x = 0.0;
-    for _ in 0..n {
-        x += step_std * standard_normal(rng);
-        out.push(x);
-    }
-    out
-}
-
 /// First-order autoregressive process `x[t] = phi * x[t-1] + eps`.
 pub fn ar1<R: Rng + ?Sized>(rng: &mut R, n: usize, phi: f64, noise_std: f64) -> Vec<f64> {
     let mut out = Vec::with_capacity(n);
@@ -208,34 +197,6 @@ pub fn outline_profile<R: Rng + ?Sized>(
         .collect()
 }
 
-/// Piecewise-constant regime-switching signal (levels drawn per regime) —
-/// useful for device / screen-type style datasets.
-pub fn regime_switching<R: Rng + ?Sized>(
-    rng: &mut R,
-    n: usize,
-    n_regimes: usize,
-    levels: &[f64],
-    noise_std: f64,
-) -> Vec<f64> {
-    assert!(!levels.is_empty());
-    let mut boundaries: Vec<usize> = (0..n_regimes.saturating_sub(1))
-        .map(|_| rng.gen_range(0..n))
-        .collect();
-    boundaries.push(n);
-    boundaries.sort_unstable();
-    let mut out = Vec::with_capacity(n);
-    let mut level = levels[rng.gen_range(0..levels.len())];
-    let mut b = 0usize;
-    for i in 0..n {
-        if b < boundaries.len() && i >= boundaries[b] {
-            level = levels[rng.gen_range(0..levels.len())];
-            b += 1;
-        }
-        out.push(level + noise_std * standard_normal(rng));
-    }
-    out
-}
-
 /// Injects a distinctive pattern (shapelet) at a random location of a noisy
 /// background. The pattern is a scaled copy of `pattern`; returns the series.
 pub fn inject_pattern<R: Rng + ?Sized>(
@@ -336,17 +297,12 @@ mod tests {
         let mut r = rng();
         assert_eq!(gaussian_noise(&mut r, 100, 1.0).len(), 100);
         assert_eq!(sine_wave(&mut r, 64, 16.0, 1.0, 0.0, 0.0).len(), 64);
-        assert_eq!(random_walk(&mut r, 50, 1.0).len(), 50);
         assert_eq!(ar1(&mut r, 30, 0.9, 1.0).len(), 30);
         assert_eq!(logistic_map(&mut r, 80, 4.0, 0.0).len(), 80);
         assert_eq!(ecg_like(&mut r, 200, 50, 1.0, false, 0.01).len(), 200);
         assert_eq!(outline_profile(&mut r, 120, 3, 0.4, 0.05, 0.01).len(), 120);
         assert_eq!(fractional_noise(&mut r, 90, 0.7).len(), 90);
         assert_eq!(appliance_profile(&mut r, 150, 5.0, 20, 40, 0.1).len(), 150);
-        assert_eq!(
-            regime_switching(&mut r, 100, 4, &[0.0, 1.0, 2.0], 0.1).len(),
-            100
-        );
     }
 
     #[test]

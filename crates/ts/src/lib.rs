@@ -16,7 +16,7 @@
 //! * [`sax`] — Symbolic Aggregate approXimation, required by the SAX-VSM,
 //!   Bag-of-Patterns and Fast Shapelets baselines.
 //! * [`generators`] — seeded synthetic series generators (noise, chaotic
-//!   logistic maps, random walks, pulse trains, …) used to build the
+//!   logistic maps, pulse trains, …) used to build the
 //!   synthetic stand-in for the UCR archive.
 //! * [`io`] — reading and writing the UCR archive text format.
 //! * [`preprocess`] — z-normalisation, min-max scaling, detrending.

@@ -64,23 +64,6 @@ pub fn difference(values: &[f64]) -> Vec<f64> {
     values.windows(2).map(|w| w[1] - w[0]).collect()
 }
 
-/// Simple centered moving-average smoothing with the given window (odd
-/// windows are recommended). Window sizes of 0 or 1 return the input.
-pub fn moving_average(values: &[f64], window: usize) -> Vec<f64> {
-    if window <= 1 || values.is_empty() {
-        return values.to_vec();
-    }
-    let half = window / 2;
-    let n = values.len();
-    (0..n)
-        .map(|i| {
-            let lo = i.saturating_sub(half);
-            let hi = (i + half + 1).min(n);
-            crate::stats::mean(&values[lo..hi])
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,15 +121,5 @@ mod tests {
     fn difference_shrinks_by_one() {
         assert_eq!(difference(&[1.0, 4.0, 9.0]), vec![3.0, 5.0]);
         assert!(difference(&[1.0]).is_empty());
-    }
-
-    #[test]
-    fn moving_average_smooths() {
-        let v = [0.0, 10.0, 0.0, 10.0, 0.0];
-        let s = moving_average(&v, 3);
-        assert_eq!(s.len(), v.len());
-        // interior points are local means
-        assert!((s[2] - 20.0 / 3.0).abs() < 1e-12);
-        assert_eq!(moving_average(&v, 1), v.to_vec());
     }
 }

@@ -15,8 +15,8 @@
 //! * [`baselines`] — 1NN-ED, 1NN-DTW, Fast Shapelets, Learning Shapelets,
 //!   SAX-VSM, Bag-of-Patterns.
 //! * [`datasets`] — the synthetic stand-in for the UCR archive, unified with
-//!   the on-disk cache and real UCR directory trees behind the lazy,
-//!   streaming [`datasets::DatasetSource`] resolver (instance-at-a-time
+//!   real UCR directory trees behind the lazy, streaming
+//!   [`datasets::DatasetSource`] resolver (instance-at-a-time
 //!   split streams, per-split provenance; set `TSG_UCR_DIR` to run against
 //!   the real archive).
 //! * [`eval`] — Wilcoxon / Friedman–Nemenyi tests, ranks, scatter and table

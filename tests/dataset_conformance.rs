@@ -1,20 +1,18 @@
 //! Golden-fixture conformance suite for the `DatasetSource` pipeline.
 //!
-//! A split can reach feature extraction four ways: eager synthesis,
-//! instance-at-a-time streaming, the on-disk cache, and a real UCR directory
-//! tree (itself written by the hardened text writer). Feature-based
-//! pipelines live or die on exact ingestion — an archive-parsing or
-//! normalisation discrepancy silently changes every reported accuracy — so
-//! this suite pins all four paths against each other **bit-for-bit**: same
-//! feature matrices (raw `f64` bit patterns), same labels, and same
-//! `MvgClassifier` predictions *and* probabilities, for three catalogue
-//! datasets covering every fixture layout (nested/flat, extension-less /
-//! `.txt` / `.tsv`, comma/tab) plus the NaN-padded variable-length and
-//! label-edge-case fixtures.
+//! A split can reach feature extraction three ways: eager synthesis,
+//! instance-at-a-time streaming, and a real UCR directory tree (itself
+//! written by the hardened text writer). Feature-based pipelines live or die
+//! on exact ingestion — an archive-parsing or normalisation discrepancy
+//! silently changes every reported accuracy — so this suite pins all three
+//! paths against each other **bit-for-bit**: same feature matrices (raw
+//! `f64` bit patterns), same labels, and same `MvgClassifier` predictions
+//! *and* probabilities, for three catalogue datasets covering every fixture
+//! layout (nested/flat, extension-less / `.txt` / `.tsv`, comma/tab) plus
+//! the NaN-padded variable-length and label-edge-case fixtures.
 
 use std::path::PathBuf;
 use tsc_mvg::datasets::archive::ArchiveOptions;
-use tsc_mvg::datasets::cache::CACHE_DIR_ENV;
 use tsc_mvg::datasets::fixture::{write_ucr_fixture_tree, LABELS_FIXTURE, VARLEN_FIXTURE};
 use tsc_mvg::datasets::{DatasetSource, SourceKind, Split};
 use tsc_mvg::ml::gbt::GradientBoostingParams;
@@ -32,29 +30,6 @@ const DATASETS: [&str; 4] = ["BeetleFly", "Wine", "Herring", "Meat"];
 
 fn options() -> ArchiveOptions {
     ArchiveOptions::bounded(10, 64, 11)
-}
-
-/// The cache test mutates the process-wide `CACHE_DIR_ENV` while sibling
-/// tests would otherwise run concurrently (and call `getenv` via
-/// `std::env::temp_dir`, racing the `setenv`). Every test in this binary
-/// takes this lock, so environment mutation is always exclusive.
-static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Sets `CACHE_DIR_ENV` for the caller's scope and removes it on drop, so a
-/// panicking assertion cannot leak a deleted temp directory into later tests.
-struct CacheDirGuard;
-
-impl CacheDirGuard {
-    fn set(dir: &std::path::Path) -> Self {
-        std::env::set_var(CACHE_DIR_ENV, dir);
-        CacheDirGuard
-    }
-}
-
-impl Drop for CacheDirGuard {
-    fn drop(&mut self) {
-        std::env::remove_var(CACHE_DIR_ENV);
-    }
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -135,11 +110,7 @@ fn extract_both_ways(
 
 #[test]
 fn streaming_eager_cached_and_real_paths_are_bit_identical() {
-    let _env = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let fixture_root = temp_dir("fixture");
-    let cache_root = temp_dir("cache");
-    // route the dataset cache into a private directory for this test only
-    let _cache_dir = CacheDirGuard::set(&cache_root);
     write_ucr_fixture_tree(&fixture_root, &DATASETS, options(), false).expect("fixture tree");
 
     for name in DATASETS {
@@ -166,39 +137,7 @@ fn streaming_eager_cached_and_real_paths_are_bit_identical() {
             "synthetic",
         );
 
-        // --- path 2: the on-disk cache (first call writes, second reads) --
-        let cached_source = DatasetSource::cached(options());
-        let first = cached_source.resolve(name).unwrap();
-        assert_eq!(first.kind(), SourceKind::Cached, "{name}");
-        let cached = cached_source.resolve(name).unwrap();
-        assert_eq!(cached.kind(), SourceKind::Cached, "{name}");
-        assert!(cached.train_provenance.content_hash.is_some());
-        assert_eq!(
-            extract_both_ways(
-                &cached_source,
-                name,
-                Split::Train,
-                &cached.train,
-                &config,
-                "cached"
-            ),
-            train_bits,
-            "cached != synthetic for {name} train"
-        );
-        assert_eq!(
-            extract_both_ways(
-                &cached_source,
-                name,
-                Split::Test,
-                &cached.test,
-                &config,
-                "cached"
-            ),
-            test_bits,
-            "cached != synthetic for {name} test"
-        );
-
-        // --- path 3: real UCR files written by the golden fixture ---------
+        // --- path 2: real UCR files written by the golden fixture ---------
         let real_source = DatasetSource::synthetic(options()).with_ucr_dir(&fixture_root);
         let real = real_source.resolve(name).unwrap();
         assert_eq!(real.kind(), SourceKind::Real, "{name}");
@@ -226,29 +165,25 @@ fn streaming_eager_cached_and_real_paths_are_bit_identical() {
         clf_synthetic.fit(&reference.train).unwrap();
         let pred_synthetic = clf_synthetic.predict(&reference.test).unwrap();
         let proba_synthetic = clf_synthetic.predict_proba(&reference.test).unwrap();
-        for (label, pair) in [("cached", &cached), ("real", &real)] {
-            let mut clf = MvgClassifier::new(classifier_config(config.clone()));
-            clf.fit(&pair.train).unwrap();
-            assert_eq!(
-                clf.predict(&pair.test).unwrap(),
-                pred_synthetic,
-                "[{label}] predictions diverge for {name}"
-            );
-            assert_eq!(
-                proba_bits(&clf.predict_proba(&pair.test).unwrap()),
-                proba_bits(&proba_synthetic),
-                "[{label}] probabilities diverge for {name}"
-            );
-        }
+        let mut clf = MvgClassifier::new(classifier_config(config.clone()));
+        clf.fit(&real.train).unwrap();
+        assert_eq!(
+            clf.predict(&real.test).unwrap(),
+            pred_synthetic,
+            "[real] predictions diverge for {name}"
+        );
+        assert_eq!(
+            proba_bits(&clf.predict_proba(&real.test).unwrap()),
+            proba_bits(&proba_synthetic),
+            "[real] probabilities diverge for {name}"
+        );
     }
 
     std::fs::remove_dir_all(&fixture_root).ok();
-    std::fs::remove_dir_all(&cache_root).ok();
 }
 
 #[test]
 fn variable_length_nan_padded_fixture_streams_identically() {
-    let _env = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let fixture_root = temp_dir("varlen");
     write_ucr_fixture_tree(&fixture_root, &[], options(), true).expect("fixture tree");
     let source = DatasetSource::synthetic(options()).with_ucr_dir(&fixture_root);
@@ -272,7 +207,6 @@ fn variable_length_nan_padded_fixture_streams_identically() {
 
 #[test]
 fn variable_length_fixture_trains_wide_rows_laid_out_by_name() {
-    let _env = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let fixture_root = temp_dir("varlen-wide");
     write_ucr_fixture_tree(&fixture_root, &[], options(), true).expect("fixture tree");
     let source = DatasetSource::synthetic(options()).with_ucr_dir(&fixture_root);
@@ -310,7 +244,6 @@ fn variable_length_fixture_trains_wide_rows_laid_out_by_name() {
 
 #[test]
 fn label_edge_case_fixture_remaps_consistently_across_paths() {
-    let _env = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let fixture_root = temp_dir("labels");
     write_ucr_fixture_tree(&fixture_root, &[], options(), true).expect("fixture tree");
     let source = DatasetSource::synthetic(options()).with_ucr_dir(&fixture_root);
