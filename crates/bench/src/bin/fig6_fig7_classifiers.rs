@@ -5,16 +5,15 @@
 //! Forest, SVM). Figure 7 compares stacked generalization restricted to one
 //! family at a time against stacking across all three families.
 //!
-//! Datasets are consumed through the streaming `DatasetSource` pipeline:
-//! each split is opened as an instance-at-a-time stream (real UCR files via
-//! `--ucr-dir` / `TSG_UCR_DIR`, else the synthetic catalogue) and
-//! features are extracted chunk-wise on the shared worker pool, so no full
-//! `Vec<TimeSeries>` is ever resident. Per-split provenance (source kind,
-//! backing file, content hash) is printed and embedded in the JSON artefact.
+//! Datasets are resolved through `DatasetSource` (real UCR files via
+//! `--ucr-dir` / `TSG_UCR_DIR`, else the synthetic catalogue) and features
+//! are extracted on the shared worker pool. Per-split provenance (source
+//! kind, backing file, content hash) is printed and embedded in the JSON
+//! artefact.
 
 use tsg_bench::RunOptions;
-use tsg_core::{extract_features_streaming, FeatureConfig, StreamedFeatures};
-use tsg_datasets::{Split, SplitProvenance};
+use tsg_core::{extract_dataset_features, FeatureConfig, FeatureSelection};
+use tsg_datasets::SplitProvenance;
 use tsg_eval::tables::{fmt3, fmt_hash, fmt_hash_opt};
 use tsg_eval::{nemenyi_critical_difference, Table};
 use tsg_ml::forest::{RandomForest, RandomForestParams};
@@ -160,40 +159,28 @@ fn main() {
 
     let mut provenance: Vec<SplitProvenance> = Vec::new();
     for spec in &specs {
-        // streaming ingestion: features are extracted chunk-wise while the
-        // split is read / generated instance-at-a-time. Both splits share
-        // one feature width, derived from the longer of the two maximum
-        // series lengths — a real variable-length dataset can have its
-        // longest series in either split, and per-split widths would make
-        // the train-fitted scaler reject the test matrix
-        let features = FeatureConfig::mvg();
-        let mut open = |split: Split| {
-            let stream = source
-                .open_split(spec.name, split)
-                .unwrap_or_else(|e| panic!("failed to open {} {:?}: {e}", spec.name, split));
-            provenance.push(stream.provenance().clone());
-            stream
+        let pair = source
+            .resolve(spec.name)
+            .unwrap_or_else(|e| panic!("failed to resolve {}: {e}", spec.name));
+        println!("  {}: {}", spec.name, pair.train_provenance.describe());
+        // both splits are extracted under the names at the longer of the two
+        // maximum series lengths — a real variable-length dataset can have
+        // its longest series in either split, and per-split widths would
+        // make the train-fitted scaler reject the test matrix
+        let max_length = pair.train.max_length().max(pair.test.max_length());
+        let features = FeatureConfig {
+            selection: Some(FeatureSelection::new(
+                FeatureConfig::mvg().feature_names_for_length(max_length),
+            )),
+            ..FeatureConfig::mvg()
         };
-        let train_stream = open(Split::Train);
-        let test_stream = open(Split::Test);
-        let max_length = train_stream.max_length().max(test_stream.max_length());
-        let extract = |stream: tsg_datasets::SplitStream| -> StreamedFeatures {
-            let split = stream.split();
-            extract_features_streaming(stream, max_length, &features, n_threads)
-                .unwrap_or_else(|e| panic!("failed to stream {} {:?}: {e}", spec.name, split))
-        };
-        let streamed_train = extract(train_stream);
-        let streamed_test = extract(test_stream);
-        println!(
-            "  {}: {}",
-            spec.name,
-            provenance[provenance.len() - 2].describe()
-        );
-        let y_train = streamed_train.labels_required().expect("labeled data");
-        let y_test = streamed_test.labels_required().expect("labeled data");
-        let (scaler, x_train) =
-            MinMaxScaler::fit_transform(&streamed_train.features).expect("scaling");
-        let x_test = scaler.transform(&streamed_test.features).expect("scaling");
+        let (train_features, _) = extract_dataset_features(&pair.train, &features, n_threads);
+        let (test_features, _) = extract_dataset_features(&pair.test, &features, n_threads);
+        let y_train = pair.train.labels_required().expect("labeled data");
+        let y_test = pair.test.labels_required().expect("labeled data");
+        provenance.extend([pair.train_provenance, pair.test_provenance]);
+        let (scaler, x_train) = MinMaxScaler::fit_transform(&train_features).expect("scaling");
+        let x_test = scaler.transform(&test_features).expect("scaling");
 
         // --- Figure 6: single classifiers --------------------------------
         let mut xgb = GradientBoosting::new(boosting_candidates(options.seed)[1].1);

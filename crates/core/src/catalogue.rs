@@ -20,11 +20,15 @@
 //!
 //! Every statistical feature is total: for finite input it produces a
 //! finite number (degenerate cases — zero variance, lags or coefficients
-//! beyond the series length — yield `0.0`). This matters because the
-//! scalers downstream reject non-finite features at `fit`.
+//! beyond the series length — yield `0.0`), except `energy`, whose true
+//! value can exceed `f64::MAX`. This matters because the scalers downstream
+//! reject non-finite features at `fit`. A series whose magnitude reaches
+//! `2^240` is divided by an exact power of two before the layer is computed
+//! and the features that scale with it are multiplied back, so its moments
+//! cannot overflow; below that bound the series is used as is.
 
 use crate::importance::FeatureImportance;
-use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use tsg_ts::stats;
 
@@ -33,7 +37,7 @@ use tsg_ts::stats;
 /// The tiers mirror the hcga convention: `Fast` families are linear scans,
 /// `Medium` families are a few linear passes (or an `O(n·k)` transform with
 /// small `k`), `Slow` families dominate extraction time (the motif census).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CostTier {
     /// One linear pass over the series.
     Fast,
@@ -55,7 +59,7 @@ impl CostTier {
 }
 
 /// Whether a family is computed once per series or once per visibility graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FamilyScope {
     /// Computed directly on the series values.
     PerSeries,
@@ -180,7 +184,7 @@ impl StatFamily {
 /// `Default` is **disabled** so legacy configurations (and their snapshot
 /// fingerprints) are unchanged; [`StatisticalConfig::standard`] is the wide
 /// catalogue's default shape.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StatisticalConfig {
     /// Whether the statistical layer is appended to the feature vector.
     pub enabled: bool,
@@ -318,19 +322,100 @@ pub fn stat_family_names(family: StatFamily, config: &StatisticalConfig) -> Vec<
     }
 }
 
-/// Computes one statistical family for one series.
-pub fn compute_stat_family(
-    family: StatFamily,
+/// Computes every statistical family with a column marked in `needed` into
+/// `out`, both the layer's slice of the wide vector, from one scan of the
+/// series for its magnitude.
+pub(crate) fn compute_stat_layer(
     config: &StatisticalConfig,
     values: &[f64],
-) -> Vec<f64> {
-    match family {
-        StatFamily::Dist => distribution_features(values),
-        StatFamily::Trend => trend_features(values),
-        StatFamily::Peaks => peak_features(values),
-        StatFamily::Acf => autocorrelation_features(values, config.acf_lags),
-        StatFamily::Fft => fft_magnitude_features(values, config.fft_coefficients),
+    needed: &[bool],
+    out: &mut [f64],
+) {
+    let series = ScaledSeries::new(values);
+    let mut offset = 0;
+    for family in StatFamily::ALL {
+        let range = offset..offset + stat_family_len(family, config);
+        offset = range.end;
+        if needed[range.clone()].contains(&true) {
+            out[range].copy_from_slice(&series.family(family, config));
+        }
     }
+}
+
+/// Exponent of the magnitude bound `2^SCALE_BOUND_EXP` of the statistical
+/// layer. Below it a fourth central moment, at most `(2·max|x|)^4 · n`,
+/// stays finite for any series shorter than `2^60`.
+const SCALE_BOUND_EXP: i32 = 240;
+
+/// A series as the statistical layer sees it: divided by `2^shift`, an exact
+/// power of two, when its magnitude reaches the bound (`shift` 0 below it,
+/// where the values are borrowed unchanged).
+struct ScaledSeries<'a> {
+    values: Cow<'a, [f64]>,
+    shift: i32,
+}
+
+impl<'a> ScaledSeries<'a> {
+    fn new(values: &'a [f64]) -> Self {
+        // the largest |x| has the largest bit pattern once the sign is cleared
+        let max_bits = values
+            .iter()
+            .map(|v| v.to_bits() & (u64::MAX >> 1))
+            .max()
+            .unwrap_or(0);
+        let exponent = (max_bits >> 52) as i32 - 1023;
+        if exponent < SCALE_BOUND_EXP {
+            return ScaledSeries {
+                values: Cow::Borrowed(values),
+                shift: 0,
+            };
+        }
+        // brings max|x| into [2^(bound-1), 2^bound)
+        let shift = exponent - SCALE_BOUND_EXP + 1;
+        let factor = pow2(-shift);
+        ScaledSeries {
+            values: values.iter().map(|v| v * factor).collect(),
+            shift,
+        }
+    }
+
+    /// One family of the unscaled series: computed on the scaled values,
+    /// with the features that scale with the series multiplied back.
+    fn family(&self, family: StatFamily, config: &StatisticalConfig) -> Vec<f64> {
+        let values = &*self.values;
+        let (up, down) = (pow2(self.shift), pow2(-self.shift));
+        // the floor stays absolute: a scaled variance is 4^-shift of the true one
+        let var_floor = VAR_FLOOR * down * down;
+        let mut out = match family {
+            StatFamily::Dist => distribution(values, var_floor),
+            StatFamily::Trend => trend_features(values),
+            StatFamily::Peaks => peak_features(values),
+            StatFamily::Acf => autocorrelation(values, config.acf_lags, var_floor),
+            StatFamily::Fft => fft_magnitude_features(values, config.fft_coefficients),
+        };
+        if self.shift != 0 {
+            match family {
+                // mean, std, min, max, median, iqr, the quantiles and
+                // abs_mean scale with the series, energy with its square;
+                // skewness, kurtosis and the counts are scale-invariant
+                StatFamily::Dist => {
+                    for v in &mut out[..10] {
+                        *v *= up;
+                    }
+                    out[12] = out[12] * up * up;
+                    out[13] *= up;
+                }
+                StatFamily::Trend | StatFamily::Fft => out.iter_mut().for_each(|v| *v *= up),
+                StatFamily::Peaks | StatFamily::Acf => {}
+            }
+        }
+        out
+    }
+}
+
+/// `2^e`, exactly, for `e` in the normal exponent range `-1022..=1023`.
+fn pow2(e: i32) -> f64 {
+    f64::from_bits(((1023 + e) as u64) << 52)
 }
 
 /// Variance floor below which moment ratios (skewness, kurtosis,
@@ -341,12 +426,16 @@ const VAR_FLOOR: f64 = 1e-24;
 /// 5/25/75/95 % quantiles, skewness, excess kurtosis, energy, mean absolute
 /// value and the counts of samples strictly above / below the mean.
 pub fn distribution_features(values: &[f64]) -> Vec<f64> {
+    distribution(values, VAR_FLOOR)
+}
+
+fn distribution(values: &[f64], var_floor: f64) -> Vec<f64> {
     let n = values.len() as f64;
     let mean = stats::mean(values);
     let var = stats::variance(values);
     let q25 = stats::quantile(values, 0.25);
     let q75 = stats::quantile(values, 0.75);
-    let (skewness, kurtosis) = if var <= VAR_FLOOR || values.is_empty() {
+    let (skewness, kurtosis) = if var <= var_floor || values.is_empty() {
         (0.0, 0.0)
     } else {
         let m3 = values.iter().map(|v| (v - mean).powi(3)).sum::<f64>() / n;
@@ -411,12 +500,16 @@ pub fn peak_features(values: &[f64]) -> Vec<f64> {
 /// over `n - lag` terms, normalised by the population variance). Lags at or
 /// beyond the series length — and any lag of a constant series — are `0.0`.
 pub fn autocorrelation_features(values: &[f64], n_lags: usize) -> Vec<f64> {
+    autocorrelation(values, n_lags, VAR_FLOOR)
+}
+
+fn autocorrelation(values: &[f64], n_lags: usize, var_floor: f64) -> Vec<f64> {
     let n = values.len();
     let mean = stats::mean(values);
     let var = stats::variance(values);
     let mut out = Vec::with_capacity(n_lags);
     for lag in 1..=n_lags {
-        if lag >= n || var <= VAR_FLOOR {
+        if lag >= n || var <= var_floor {
             out.push(0.0);
             continue;
         }
@@ -461,7 +554,7 @@ pub fn fft_magnitude_features(values: &[f64], n_coefficients: usize) -> Vec<f64>
 /// (pinned bit-for-bit by the determinism suite). Attached to a
 /// `FeatureConfig` via its `selection` field, it makes the extractor compute
 /// only the graphs, censuses and statistical families the subset needs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureSelection {
     names: Vec<String>,
 }
@@ -569,10 +662,8 @@ mod tests {
     fn statistical_layer_names_match_values() {
         let cfg = StatisticalConfig::standard();
         let values = wave(128);
-        let feats: Vec<f64> = StatFamily::ALL
-            .iter()
-            .flat_map(|&f| compute_stat_family(f, &cfg, &values))
-            .collect();
+        let mut feats = vec![f64::NAN; cfg.n_features()];
+        compute_stat_layer(&cfg, &values, &vec![true; feats.len()], &mut feats);
         let names = cfg.feature_names();
         assert_eq!(feats.len(), names.len());
         assert_eq!(feats.len(), cfg.n_features());

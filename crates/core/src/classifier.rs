@@ -80,7 +80,7 @@ impl MvgConfig {
             features: FeatureConfig::mvg(),
             classifier: ClassifierChoice::GradientBoostingGrid,
             oversample: true,
-            n_threads: crate::parallel::default_threads(),
+            n_threads: tsg_parallel::default_threads(),
             seed: 7,
         }
     }
@@ -99,7 +99,7 @@ impl MvgConfig {
                 ..Default::default()
             }),
             oversample: true,
-            n_threads: crate::parallel::default_threads(),
+            n_threads: tsg_parallel::default_threads(),
             seed: 7,
         }
     }

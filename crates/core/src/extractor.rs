@@ -22,28 +22,24 @@
 //! column gather of wide extraction by construction, bit for bit (pinned by
 //! `tests/determinism.rs`).
 
-use crate::catalogue::{
-    compute_stat_family, parse_index, stat_family_len, FeatureSelection, StatFamily,
-    StatisticalConfig,
-};
+use crate::catalogue::{compute_stat_layer, parse_index, FeatureSelection, StatisticalConfig};
 use crate::graph_features::{block_len, graph_feature_index, graph_feature_names};
 use crate::motif_groups::{motif_probability_distribution, N_MOTIF_FEATURES};
-use crate::parallel::parallel_map;
 use crate::representation::{scale_values_with_sink, ScaleMode};
 use crate::trace::{ExtractStage, NoopTraceSink, TraceSink};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tsg_graph::motifs::{count_motifs, count_motifs_with, MotifWorkspace};
 use tsg_graph::stats::GraphStatistics;
 use tsg_graph::visibility::VisibilityKind;
 use tsg_graph::{Graph, MotifCounts};
 use tsg_ml::data::FeatureMatrix;
+use tsg_parallel::parallel_map;
 use tsg_ts::multiscale::MultiscaleOptions;
 use tsg_ts::preprocess::detrend;
 use tsg_ts::{Dataset, TimeSeries};
 
 /// Configuration of the feature extraction stage.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct FeatureConfig {
     /// Which visibility criteria to build graphs with.
     pub kinds: Vec<VisibilityKind>,
@@ -427,15 +423,7 @@ fn extract_features_impl<S: TraceSink>(
 
     if stat_needed.contains(&true) {
         sink.enter(ExtractStage::Statistical);
-        let mut offset = 0;
-        for family in StatFamily::ALL {
-            let range = offset..offset + stat_family_len(family, &config.statistical);
-            offset = range.end;
-            if stat_needed[range.clone()].contains(&true) {
-                let values = compute_stat_family(family, &config.statistical, series.values());
-                stat_out[range].copy_from_slice(&values);
-            }
-        }
+        compute_stat_layer(&config.statistical, series.values(), stat_needed, stat_out);
         sink.exit(ExtractStage::Statistical);
     }
 
@@ -478,88 +466,6 @@ pub(crate) fn extract_rows(
 ) -> Vec<Vec<f64>> {
     parallel_map(series, n_threads, |series| {
         extract_features_impl(series, config, Some(layout), &mut NoopTraceSink, census)
-    })
-}
-
-/// Output of [`extract_features_streaming`]: the feature matrix, the
-/// matching feature names, and the label carried by each consumed series
-/// (in input order, `None` for unlabeled instances).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamedFeatures {
-    /// One feature row per consumed series.
-    pub features: FeatureMatrix,
-    /// Column names (width implied by `max_length`).
-    pub names: Vec<String>,
-    /// Per-series labels in input order.
-    pub labels: Vec<Option<usize>>,
-}
-
-impl StreamedFeatures {
-    /// The labels, erroring if any consumed series was unlabeled.
-    pub fn labels_required(&self) -> crate::Result<Vec<usize>> {
-        self.labels
-            .iter()
-            .map(|l| {
-                l.ok_or_else(|| {
-                    tsg_ml::MlError::InvalidData("stream contains unlabeled series".into())
-                })
-            })
-            .collect()
-    }
-}
-
-/// Extracts features from a *stream* of series, chunk-wise on the shared
-/// worker pool, without ever materialising the full split.
-///
-/// This is the streaming counterpart of [`extract_dataset_features`]: the
-/// iterator (typically a `tsg_datasets` `SplitStream`) is drained in bounded
-/// chunks; each chunk is extracted in parallel, flattened into the row-major
-/// output buffer, and dropped before the next chunk is pulled — so peak
-/// memory is `O(chunk)` series plus the growing feature matrix, never the
-/// whole `Vec<TimeSeries>`. `max_length` is the maximum series length of the
-/// split (streams know it up front) and determines the row width, exactly as
-/// `dataset.max_length()` does on the eager path; every row is gathered by
-/// name into that layout identically, so **streaming and eager extraction
-/// are bit-identical** for the same input series (pinned by
-/// `tests/determinism.rs` and the conformance suite).
-///
-/// The first `Err` yielded by the stream aborts extraction and is returned.
-pub fn extract_features_streaming<E>(
-    series: impl IntoIterator<Item = std::result::Result<TimeSeries, E>>,
-    max_length: usize,
-    config: &FeatureConfig,
-    n_threads: usize,
-) -> std::result::Result<StreamedFeatures, E> {
-    let names = config.feature_names_for_length(max_length);
-    let width = names.len();
-    let layout = config.row_layout(&names);
-    // chunks sized a few multiples of the worker count keep every worker
-    // busy (the pool sub-chunks dynamically) while bounding residency
-    let chunk_capacity = tsg_parallel::resolve_threads(n_threads).max(1) * 16;
-    let mut labels: Vec<Option<usize>> = Vec::new();
-    let mut flat: Vec<f64> = Vec::new();
-    let mut buffer: Vec<TimeSeries> = Vec::with_capacity(chunk_capacity);
-    let flush = |buffer: &mut Vec<TimeSeries>, flat: &mut Vec<f64>| {
-        for row in extract_rows(buffer, config, &layout, n_threads) {
-            flat.extend_from_slice(&row);
-        }
-        buffer.clear();
-    };
-    for item in series {
-        let s = item?;
-        labels.push(s.label());
-        buffer.push(s);
-        if buffer.len() == chunk_capacity {
-            flush(&mut buffer, &mut flat);
-        }
-    }
-    flush(&mut buffer, &mut flat);
-    let features =
-        FeatureMatrix::from_flat(flat, labels.len(), width).expect("chunk rows share one width");
-    Ok(StreamedFeatures {
-        features,
-        names,
-        labels,
     })
 }
 
@@ -856,61 +762,6 @@ mod tests {
         assert_eq!(x.n_rows(), d.len());
         assert_eq!(x.n_cols(), names.len());
         assert!(x.rows().all(|r| r.iter().all(|v| v.is_finite())));
-    }
-
-    #[test]
-    fn streaming_extraction_matches_eager_bitwise() {
-        let d = toy_dataset(9, 96); // 18 series: exercises a partial chunk
-        for config in [
-            FeatureConfig::mvg(),
-            FeatureConfig::uvg(),
-            FeatureConfig::wide(),
-        ] {
-            let (eager, names) = extract_dataset_features(&d, &config, 2);
-            let streamed = extract_features_streaming(
-                d.series().iter().cloned().map(Ok::<_, String>),
-                d.max_length(),
-                &config,
-                2,
-            )
-            .unwrap();
-            assert_eq!(streamed.names, names);
-            assert_eq!(streamed.features, eager);
-            assert_eq!(streamed.labels, d.labels());
-            assert_eq!(
-                streamed.labels_required().unwrap(),
-                d.labels_required().unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn streaming_extraction_propagates_stream_errors() {
-        let d = toy_dataset(3, 64);
-        let items: Vec<Result<TimeSeries, String>> = d
-            .series()
-            .iter()
-            .cloned()
-            .map(Ok)
-            .chain(std::iter::once(Err("stream broke".to_string())))
-            .collect();
-        let err = extract_features_streaming(items, d.max_length(), &FeatureConfig::uvg(), 2)
-            .unwrap_err();
-        assert_eq!(err, "stream broke");
-    }
-
-    #[test]
-    fn streaming_extraction_of_empty_stream_is_empty() {
-        let streamed = extract_features_streaming(
-            std::iter::empty::<Result<TimeSeries, String>>(),
-            128,
-            &FeatureConfig::uvg(),
-            2,
-        )
-        .unwrap();
-        assert_eq!(streamed.features.n_rows(), 0);
-        assert!(streamed.labels.is_empty());
-        assert!(!streamed.names.is_empty());
     }
 
     #[test]

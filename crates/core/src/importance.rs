@@ -1,9 +1,7 @@
 //! Feature importance reporting (the basis of Figure 10).
 
-use serde::{Deserialize, Serialize};
-
 /// One named feature with its importance weight.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureImportance {
     /// Feature name, e.g. `T0 HVG P(M44)`.
     pub name: String,

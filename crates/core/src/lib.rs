@@ -25,7 +25,6 @@ pub mod extractor;
 pub mod graph_features;
 pub mod importance;
 pub mod motif_groups;
-pub mod parallel;
 pub mod representation;
 pub mod trace;
 
@@ -34,8 +33,8 @@ pub use catalogue::{
 };
 pub use classifier::{ClassifierChoice, MvgClassifier, MvgConfig};
 pub use extractor::{
-    extract_dataset_features, extract_features_streaming, extract_series_features,
-    extract_series_features_traced, FeatureConfig, StreamedFeatures,
+    extract_dataset_features, extract_series_features, extract_series_features_traced,
+    FeatureConfig,
 };
 pub use graph_features::{graph_feature_block, graph_feature_names};
 pub use importance::{rank_features, FeatureImportance};

@@ -6,14 +6,13 @@
 //! member, which is what the feature extractor iterates over.
 
 use crate::trace::{ExtractStage, NoopTraceSink, TraceSink};
-use serde::{Deserialize, Serialize};
 use tsg_graph::visibility::VisibilityKind;
 use tsg_graph::Graph;
 use tsg_ts::multiscale::{MultiscaleOptions, MultiscaleRepresentation};
 use tsg_ts::TimeSeries;
 
 /// Which scales participate in the representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScaleMode {
     /// Uniscale: only the original series `T0` (UVG).
     Uniscale,
@@ -36,7 +35,7 @@ impl ScaleMode {
 }
 
 /// One visibility graph within a series' multiscale representation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScaleGraph {
     /// Scale index (`0` = the original series, `i` = the `i`-th halving).
     pub scale: usize,
@@ -48,7 +47,7 @@ pub struct ScaleGraph {
 
 /// The set of visibility graphs generated from one time series under a given
 /// scale mode and set of graph kinds (Definition 3.3).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SeriesGraphs {
     /// Graphs ordered by scale, then by graph kind.
     pub graphs: Vec<ScaleGraph>,

@@ -6,7 +6,6 @@ use crate::families::Family;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use tsg_ts::{Dataset, TimeSeries};
 
 /// Version of the generators, recorded in every synthetic split's
@@ -16,7 +15,7 @@ use tsg_ts::{Dataset, TimeSeries};
 pub const GENERATOR_VERSION: u32 = 1;
 
 /// Specification of one synthetic dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DatasetSpec {
     /// Dataset name (matches the UCR archive name).
     pub name: &'static str,
@@ -355,7 +354,7 @@ pub const ALL_DATASETS: [DatasetSpec; 39] = [
 /// possible but slow, so the experiment binaries default to a bounded budget
 /// and accept `--full` to lift it. The shape of each dataset (class count,
 /// class balance, relative train/test ratio) is preserved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArchiveOptions {
     /// Maximum number of training instances.
     pub max_train: usize,
@@ -403,10 +402,8 @@ pub fn spec_by_name(name: &str) -> Option<&'static DatasetSpec> {
 /// The class label of instance `i` in a split of `n_instances`: round-robin
 /// over classes keeps every class represented even in heavily subsampled
 /// datasets; a mild imbalance is added for larger ones so oversampling stays
-/// exercised. Shared by eager generation and the instance-at-a-time
-/// [`crate::source::SplitStream`] so the two are bit-identical by
-/// construction.
-pub(crate) fn instance_class(spec: &DatasetSpec, n_instances: usize, i: usize) -> usize {
+/// exercised.
+fn instance_class(spec: &DatasetSpec, n_instances: usize, i: usize) -> usize {
     if n_instances >= spec.n_classes * 4 && i.is_multiple_of(7) {
         0
     } else {
@@ -416,7 +413,7 @@ pub(crate) fn instance_class(spec: &DatasetSpec, n_instances: usize, i: usize) -
 
 /// The RNG generating a dataset's splits (train first, test continuing the
 /// same keystream), seeded from the base seed and the dataset name.
-pub(crate) fn split_rng(spec: &DatasetSpec, seed: u64) -> ChaCha8Rng {
+fn split_rng(spec: &DatasetSpec, seed: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(seed ^ tsg_ts::hash::Fnv1a::hash(spec.name.as_bytes()))
 }
 
@@ -459,6 +456,19 @@ pub fn generate_scaled(spec: &DatasetSpec, options: ArchiveOptions) -> (Dataset,
     let train = generate_split(spec, n_train, length, &mut rng, "TRAIN");
     let test = generate_split(spec, n_test, length, &mut rng, "TEST");
     (train, test)
+}
+
+/// Generates only the training split under a size budget: the first half of
+/// [`generate_scaled`]'s keystream, so bit-identical to its training split.
+pub(crate) fn generate_train_scaled(spec: &DatasetSpec, options: ArchiveOptions) -> Dataset {
+    let (n_train, _, length) = effective_shape(spec, options);
+    generate_split(
+        spec,
+        n_train,
+        length,
+        &mut split_rng(spec, options.seed),
+        "TRAIN",
+    )
 }
 
 /// Generates a dataset by its UCR name at paper scale; `None`-safe variant of

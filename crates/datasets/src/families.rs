@@ -8,11 +8,10 @@
 //! noise, regime boundaries) is nuisance variation drawn fresh per instance.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use tsg_ts::generators as gen;
 
 /// The generator family of a synthetic dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Family {
     /// Radial outline profiles (image-outline datasets: ArrowHead, ShapesAll,
     /// phalanx outlines, Herring, BeetleFly, BirdChicken, …). Classes differ

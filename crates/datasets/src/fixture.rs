@@ -209,8 +209,8 @@ mod tests {
         let varlen = source.resolve(VARLEN_FIXTURE).unwrap();
         assert_eq!(varlen.kind(), SourceKind::Real);
         assert!(!varlen.train.is_uniform_length(), "padding must vary");
-        let stream = source.open_split(VARLEN_FIXTURE, Split::Train).unwrap();
-        assert_eq!(stream.max_length(), varlen.train.max_length());
+        let (train, _) = source.resolve_split(VARLEN_FIXTURE, Split::Train).unwrap();
+        assert_eq!(train, varlen.train);
 
         let labels = source.resolve(LABELS_FIXTURE).unwrap();
         // raw labels 5, -2, 5, 9 remap to 0, 1, 0, 2

@@ -21,8 +21,8 @@
 //! any of the common extensions) and takes precedence when a directory is
 //! supplied via `TSG_UCR_DIR` or [`source::DatasetSource::with_ucr_dir`].
 //! `DatasetSource` unifies the two places a split can come from — synthesis
-//! and a real directory — behind one lazy interface with instance-at-a-time
-//! streaming ([`source::SplitStream`]) and per-split provenance
+//! and a real directory — behind one eager resolver that materialises a
+//! split as a `Dataset` when it is asked for, with per-split provenance
 //! ([`source::SplitProvenance`]); [`fixture`] writes
 //! golden real-format trees so that path stays exercised without
 //! redistributing UCR data.
@@ -38,6 +38,5 @@ pub use archive::{
 };
 pub use families::Family;
 pub use source::{
-    DatasetSource, ResolvedPair, SourceError, SourceKind, Split, SplitProvenance, SplitStream,
-    UCR_DIR_ENV,
+    DatasetSource, ResolvedPair, SourceError, SourceKind, Split, SplitProvenance, UCR_DIR_ENV,
 };

@@ -1,5 +1,4 @@
-//! `DatasetSource` — one lazy, streaming answer to "where does a split come
-//! from?".
+//! `DatasetSource` — one answer to "where does a split come from?".
 //!
 //! A split can exist two ways in this workspace: synthesised from the
 //! catalogue, or read from a real UCR directory tree. The experiment
@@ -7,21 +6,21 @@
 //! name through a [`DatasetSource`] and get the same three guarantees
 //! everywhere:
 //!
-//! 1. **Laziness** — nothing is generated or read before the split is asked
-//!    for, and [`DatasetSource::open_split`] yields series
-//!    *instance-at-a-time* ([`SplitStream`]), so a 10 000-instance split
-//!    never needs a full `Vec<TimeSeries>` resident during feature
-//!    extraction.
+//! 1. **Eager, on demand** — nothing is generated or read before a split is
+//!    asked for, and then the split is materialised whole as a [`Dataset`]
+//!    ([`DatasetSource::resolve`] for the pair,
+//!    [`DatasetSource::resolve_split`] for one half). The largest full-size
+//!    split in the catalogue (UWaveGestureLibraryAll's test split,
+//!    3582 × 945 `f64`) is about 26 MiB.
 //! 2. **Provenance** — every split travels with a [`SplitProvenance`]
 //!    recording whether it is synthetic or real, plus the seed and generator
 //!    version (synthetic) or the backing file path and its FNV-1a content
 //!    hash (real). Experiment artefacts embed it, so a reported number can
 //!    always be traced to its exact input bytes.
-//! 3. **Bit-exactness** — all paths produce bit-identical series: the UCR
-//!    text writer emits shortest-round-trip decimals, and the streaming
-//!    readers share the exact parsing / generation code of the eager paths
-//!    (`tests/dataset_conformance.rs` at the workspace root pins the paths
-//!    against each other).
+//! 3. **Bit-exactness** — a catalogue dataset written as real UCR files
+//!    reads back bit-identical to its synthesis: the UCR text writer emits
+//!    shortest-round-trip decimals (`tests/dataset_conformance.rs` at the
+//!    workspace root pins the two sources against each other).
 //!
 //! Resolution precedence: a configured UCR directory ([`UCR_DIR_ENV`] or
 //! [`DatasetSource::with_ucr_dir`]) wins when it contains the
@@ -30,16 +29,14 @@
 //! falls back to in-memory synthesis.
 
 use crate::archive::{
-    effective_shape, generate_scaled, instance_class, spec_by_name, split_rng, ArchiveOptions,
-    DatasetSpec, GENERATOR_VERSION,
+    generate_scaled, generate_train_scaled, spec_by_name, ArchiveOptions, DatasetSpec,
+    GENERATOR_VERSION,
 };
 use crate::loader::find_ucr_pair;
-use rand_chacha::ChaCha8Rng;
-use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
 use tsg_ts::hash::Fnv1a;
-use tsg_ts::io::UcrRecordParser;
-use tsg_ts::{Dataset, TimeSeries};
+use tsg_ts::io::{parse_ucr_with, UcrRecordParser};
+use tsg_ts::Dataset;
 
 /// Environment variable pointing at a real UCR archive directory. When set
 /// (and non-empty), [`DatasetSource::from_env`] resolves datasets from it
@@ -90,7 +87,7 @@ impl std::fmt::Display for SourceKind {
     }
 }
 
-/// Provenance record travelling with every resolved or streamed split.
+/// Provenance record travelling with every resolved split.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SplitProvenance {
     /// Dataset name (catalogue / directory name).
@@ -155,7 +152,7 @@ impl SplitProvenance {
     }
 }
 
-/// Errors surfaced while resolving or streaming a split.
+/// Errors surfaced while resolving a split.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SourceError {
     /// The name is neither in the UCR directory nor in the catalogue.
@@ -211,8 +208,8 @@ impl ResolvedPair {
 }
 
 /// The unified resolver. Cheap to construct and clone; nothing is read or
-/// generated until [`DatasetSource::resolve`] / [`DatasetSource::open_split`]
-/// is called.
+/// generated until [`DatasetSource::resolve`] /
+/// [`DatasetSource::resolve_split`] is called.
 #[derive(Debug, Clone)]
 pub struct DatasetSource {
     ucr_dir: Option<PathBuf>,
@@ -256,41 +253,26 @@ impl DatasetSource {
 
     /// Eagerly resolves the `(train, test)` pair for `name`.
     pub fn resolve(&self, name: &str) -> Result<ResolvedPair, SourceError> {
-        if let Some(dir) = &self.ucr_dir {
-            if let Some((train_path, test_path)) = find_ucr_pair(dir, name) {
-                // the test parser is seeded with the training label table so
-                // both splits map raw labels to the same class indices
-                let mut train_parser = UcrRecordParser::new();
-                let train = read_real_split(&mut train_parser, &train_path, name, Split::Train)?;
-                let test = read_real_split(
-                    &mut UcrRecordParser::seeded(train_parser.label_map()),
-                    &test_path,
-                    name,
-                    Split::Test,
-                )?;
-                let train_provenance = SplitProvenance::real(
-                    name,
-                    Split::Train,
-                    train_path.clone(),
-                    hash_file(&train_path)?,
-                );
-                let test_provenance = SplitProvenance::real(
-                    name,
-                    Split::Test,
-                    test_path.clone(),
-                    hash_file(&test_path)?,
-                );
-                return Ok(ResolvedPair {
-                    train,
-                    test,
-                    train_provenance,
-                    test_provenance,
-                });
-            }
+        if let Some((train_path, test_path)) = self.real_pair(name) {
+            // the test parser is seeded with the training label table so
+            // both splits map raw labels to the same class indices
+            let mut train_parser = UcrRecordParser::new();
+            let (train, train_provenance) =
+                read_real_split(&mut train_parser, &train_path, name, Split::Train)?;
+            let (test, test_provenance) = read_real_split(
+                &mut UcrRecordParser::seeded(train_parser.label_map()),
+                &test_path,
+                name,
+                Split::Test,
+            )?;
+            return Ok(ResolvedPair {
+                train,
+                test,
+                train_provenance,
+                test_provenance,
+            });
         }
-        let spec =
-            spec_by_name(name).ok_or_else(|| SourceError::UnknownDataset(name.to_string()))?;
-        let (train, test) = generate_scaled(spec, self.options);
+        let (train, test) = generate_scaled(self.spec(name)?, self.options);
         Ok(ResolvedPair {
             train,
             test,
@@ -299,334 +281,62 @@ impl DatasetSource {
         })
     }
 
-    /// Eagerly materialises **one** split, reading / generating only that
-    /// split's records — e.g. the serving registry fits models on the
-    /// training split without parsing (or hashing) the often much larger
-    /// `_TEST` file. Built on [`DatasetSource::open_split`], so it is
-    /// bit-identical to the corresponding half of [`DatasetSource::resolve`].
+    /// Eagerly resolves **one** split, bit-identical to the corresponding
+    /// half of [`DatasetSource::resolve`]. A training split reads (and
+    /// hashes) only its own file or generates only its own series — the
+    /// serving registry fits on it without touching the often much larger
+    /// `_TEST` file. A test split needs its training half first (the label
+    /// table of a real pair, the keystream of a synthetic one), so it is the
+    /// test half of [`DatasetSource::resolve`].
     pub fn resolve_split(
         &self,
         name: &str,
         split: Split,
     ) -> Result<(Dataset, SplitProvenance), SourceError> {
-        let mut stream = self.open_split(name, split)?;
-        let provenance = stream.provenance().clone();
-        let mut dataset = Dataset::new(stream.name().to_string());
-        for item in &mut stream {
-            dataset.push(item?);
+        if split == Split::Test {
+            let pair = self.resolve(name)?;
+            return Ok((pair.test, pair.test_provenance));
         }
-        Ok((dataset, provenance))
+        if let Some((train_path, _)) = self.real_pair(name) {
+            return read_real_split(&mut UcrRecordParser::new(), &train_path, name, split);
+        }
+        Ok((
+            generate_train_scaled(self.spec(name)?, self.options),
+            SplitProvenance::synthetic(name, split, self.options.seed),
+        ))
     }
 
-    /// Opens one split as an instance-at-a-time stream. The stream knows its
-    /// instance count and maximum (padding-stripped) series length up front,
-    /// which is exactly what chunk-wise feature extraction needs to size its
-    /// rows without materialising the split.
-    pub fn open_split(&self, name: &str, split: Split) -> Result<SplitStream, SourceError> {
-        if let Some(dir) = &self.ucr_dir {
-            if let Some((train_path, test_path)) = find_ucr_pair(dir, name) {
-                // a TEST stream is seeded with the TRAIN file's label table
-                // (one extra parse of the training file) so both splits map
-                // raw labels to the same class indices
-                return match split {
-                    Split::Train => SplitStream::open_real(name, split, &train_path, &[]),
-                    Split::Test => {
-                        let labels = scan_label_map(&train_path)?;
-                        SplitStream::open_real(name, split, &test_path, &labels)
-                    }
-                };
-            }
-        }
-        let spec =
-            spec_by_name(name).ok_or_else(|| SourceError::UnknownDataset(name.to_string()))?;
-        Ok(SplitStream::synthetic(name, split, spec, self.options))
+    /// The `(_TRAIN, _TEST)` files of `name` in the UCR directory, if the
+    /// directory holds the pair.
+    fn real_pair(&self, name: &str) -> Option<(PathBuf, PathBuf)> {
+        find_ucr_pair(self.ucr_dir.as_deref()?, name)
+    }
+
+    fn spec(&self, name: &str) -> Result<&'static DatasetSpec, SourceError> {
+        spec_by_name(name).ok_or_else(|| SourceError::UnknownDataset(name.to_string()))
     }
 }
 
-/// A lazy, instance-at-a-time iterator over one split.
-///
-/// Yields `Result<TimeSeries, SourceError>` so mid-stream failures (an
-/// archive file truncated or edited mid-read) surface as errors instead of
-/// silently short datasets. After the first error the
-/// stream fuses to `None`.
-pub struct SplitStream {
-    name: String,
-    split: Split,
-    n_instances: usize,
-    max_length: usize,
-    provenance: SplitProvenance,
-    yielded: usize,
-    failed: bool,
-    state: StreamState,
-}
-
-enum StreamState {
-    Synthetic {
-        spec: &'static DatasetSpec,
-        rng: ChaCha8Rng,
-        length: usize,
-    },
-    Real {
-        reader: BufReader<std::fs::File>,
-        parser: UcrRecordParser,
-        path: PathBuf,
-        lineno: usize,
-        buffer: String,
-    },
-}
-
-impl SplitStream {
-    /// Streams a synthetic split straight from the seeded generators,
-    /// holding only the RNG state. A `Test` stream replays (and discards)
-    /// the training instances first, because the test split continues the
-    /// same keystream.
-    fn synthetic(
-        name: &str,
-        split: Split,
-        spec: &'static DatasetSpec,
-        options: ArchiveOptions,
-    ) -> SplitStream {
-        let (n_train, n_test, length) = effective_shape(spec, options);
-        let mut rng = split_rng(spec, options.seed);
-        let n_instances = match split {
-            Split::Train => n_train,
-            Split::Test => {
-                for i in 0..n_train {
-                    let class = instance_class(spec, n_train, i);
-                    let _ = spec
-                        .family
-                        .generate(&mut rng, class, spec.n_classes, length);
-                }
-                n_test
-            }
-        };
-        SplitStream {
-            name: format!("{}_{}", name, split.suffix()),
-            split,
-            n_instances,
-            max_length: length,
-            provenance: SplitProvenance::synthetic(name, split, options.seed),
-            yielded: 0,
-            failed: false,
-            state: StreamState::Synthetic { spec, rng, length },
-        }
-    }
-
-    /// Streams a real UCR file. Opening scans the file once (hash, record
-    /// count, maximum padding-stripped length) with O(1) memory, then
-    /// reopens it for iteration; the scan uses the same [`UcrRecordParser`]
-    /// as the eager reader, so the two can never disagree. `label_seed` is
-    /// the label table to start from — the `_TRAIN` file's table when
-    /// opening a `_TEST` stream, empty otherwise.
-    fn open_real(
-        name: &str,
-        split: Split,
-        path: &Path,
-        label_seed: &[i64],
-    ) -> Result<SplitStream, SourceError> {
-        let read_err = |e: &dyn std::fmt::Display| SourceError::Read {
-            path: path.to_path_buf(),
-            message: e.to_string(),
-        };
-        let hash = hash_file(path)?;
-        let file = std::fs::File::open(path).map_err(|e| read_err(&e))?;
-        let mut scan = BufReader::new(file);
-        let mut parser = UcrRecordParser::seeded(label_seed);
-        let mut buffer = String::new();
-        let (mut lineno, mut n_instances, mut max_length) = (0usize, 0usize, 0usize);
-        loop {
-            buffer.clear();
-            let n = scan.read_line(&mut buffer).map_err(|e| read_err(&e))?;
-            if n == 0 {
-                break;
-            }
-            lineno += 1;
-            if let Some(series) = parser
-                .parse_line(lineno, &buffer)
-                .map_err(|e| read_err(&e))?
-            {
-                n_instances += 1;
-                max_length = max_length.max(series.len());
-            }
-        }
-        parser.finish().map_err(|e| read_err(&e))?;
-        let file = std::fs::File::open(path).map_err(|e| read_err(&e))?;
-        Ok(SplitStream {
-            name: format!("{}_{}", name, split.suffix()),
-            split,
-            n_instances,
-            max_length,
-            provenance: SplitProvenance::real(name, split, path.to_path_buf(), hash),
-            yielded: 0,
-            failed: false,
-            state: StreamState::Real {
-                reader: BufReader::new(file),
-                parser: UcrRecordParser::seeded(label_seed),
-                path: path.to_path_buf(),
-                lineno: 0,
-                buffer: String::new(),
-            },
-        })
-    }
-
-    /// Split name, e.g. `BeetleFly_TRAIN`.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Which split this stream yields.
-    pub fn split(&self) -> Split {
-        self.split
-    }
-
-    /// Total number of instances the stream will yield.
-    pub fn n_instances(&self) -> usize {
-        self.n_instances
-    }
-
-    /// Maximum (padding-stripped) series length across the split — known
-    /// before iteration so feature extraction can size its rows.
-    pub fn max_length(&self) -> usize {
-        self.max_length
-    }
-
-    /// Provenance of the split being streamed.
-    pub fn provenance(&self) -> &SplitProvenance {
-        &self.provenance
-    }
-
-    fn next_inner(&mut self) -> Result<TimeSeries, SourceError> {
-        match &mut self.state {
-            StreamState::Synthetic { spec, rng, length } => {
-                let class = instance_class(spec, self.n_instances, self.yielded);
-                let values = spec.family.generate(rng, class, spec.n_classes, *length);
-                Ok(TimeSeries::with_label(values, class))
-            }
-            StreamState::Real {
-                reader,
-                parser,
-                path,
-                lineno,
-                buffer,
-            } => loop {
-                buffer.clear();
-                let read_err = |e: String| SourceError::Read {
-                    path: path.clone(),
-                    message: e,
-                };
-                let n = reader
-                    .read_line(buffer)
-                    .map_err(|e| read_err(e.to_string()))?;
-                if n == 0 {
-                    return Err(read_err(format!(
-                        "file ended after {} of {} records (changed after open?)",
-                        self.yielded, self.n_instances
-                    )));
-                }
-                *lineno += 1;
-                if let Some(series) = parser
-                    .parse_line(*lineno, buffer)
-                    .map_err(|e| read_err(e.to_string()))?
-                {
-                    return Ok(series);
-                }
-            },
-        }
-    }
-}
-
-impl Iterator for SplitStream {
-    type Item = Result<TimeSeries, SourceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed || self.yielded >= self.n_instances {
-            return None;
-        }
-        match self.next_inner() {
-            Ok(series) => {
-                self.yielded += 1;
-                Some(Ok(series))
-            }
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = if self.failed {
-            0
-        } else {
-            self.n_instances - self.yielded
-        };
-        (remaining, Some(remaining))
-    }
-}
-
-/// FNV-1a over a file's bytes, streamed in 64 KiB chunks.
-fn hash_file(path: &Path) -> Result<u64, SourceError> {
-    let file = std::fs::File::open(path).map_err(|e| SourceError::Read {
-        path: path.to_path_buf(),
-        message: e.to_string(),
-    })?;
-    let mut reader = BufReader::new(file);
-    let mut hash = Fnv1a::default();
-    let mut chunk = [0u8; 64 * 1024];
-    loop {
-        let n = reader.read(&mut chunk).map_err(|e| SourceError::Read {
-            path: path.to_path_buf(),
-            message: e.to_string(),
-        })?;
-        if n == 0 {
-            return Ok(hash.finish());
-        }
-        hash.update(&chunk[..n]);
-    }
-}
-
+/// Reads one split of a real pair from a single read of its file, which
+/// feeds both the parse and the provenance's FNV-1a hash. `parser` carries
+/// the label table: fresh for `_TRAIN`, seeded with the `_TRAIN` table for
+/// `_TEST`.
 fn read_real_split(
     parser: &mut UcrRecordParser,
     path: &Path,
     name: &str,
     split: Split,
-) -> Result<Dataset, SourceError> {
-    let mut dataset =
-        tsg_ts::io::read_ucr_file_with(parser, path).map_err(|e| SourceError::Read {
-            path: path.to_path_buf(),
-            message: e.to_string(),
-        })?;
-    dataset.name = format!("{}_{}", name, split.suffix());
-    Ok(dataset)
-}
-
-/// Parses every record of `path` solely for its label table, so a `_TEST`
-/// stream can share its `_TRAIN` file's raw-label → class-index mapping
-/// (the splits of a real pair routinely list classes in different
-/// first-appearance orders).
-fn scan_label_map(path: &Path) -> Result<Vec<i64>, SourceError> {
-    let read_err = |e: &dyn std::fmt::Display| SourceError::Read {
+) -> Result<(Dataset, SplitProvenance), SourceError> {
+    let read_err = |message: String| SourceError::Read {
         path: path.to_path_buf(),
-        message: e.to_string(),
+        message,
     };
-    let file = std::fs::File::open(path).map_err(|e| read_err(&e))?;
-    let mut reader = BufReader::new(file);
-    let mut parser = UcrRecordParser::new();
-    let mut buffer = String::new();
-    let mut lineno = 0usize;
-    loop {
-        buffer.clear();
-        let n = reader.read_line(&mut buffer).map_err(|e| read_err(&e))?;
-        if n == 0 {
-            break;
-        }
-        lineno += 1;
-        parser
-            .parse_line(lineno, &buffer)
-            .map_err(|e| read_err(&e))?;
-    }
-    parser.finish().map_err(|e| read_err(&e))?;
-    Ok(parser.label_map().to_vec())
+    let bytes = std::fs::read(path).map_err(|e| read_err(e.to_string()))?;
+    let content = std::str::from_utf8(&bytes).map_err(|e| read_err(e.to_string()))?;
+    let dataset = parse_ucr_with(parser, content, format!("{}_{}", name, split.suffix()))
+        .map_err(|e| read_err(e.to_string()))?;
+    let provenance = SplitProvenance::real(name, split, path.to_path_buf(), Fnv1a::hash(&bytes));
+    Ok((dataset, provenance))
 }
 
 #[cfg(test)]
@@ -650,32 +360,6 @@ mod tests {
         ArchiveOptions::bounded(10, 64, 3)
     }
 
-    fn collect(stream: SplitStream) -> Vec<TimeSeries> {
-        stream.map(|r| r.unwrap()).collect()
-    }
-
-    #[test]
-    fn synthetic_stream_matches_eager_generation() {
-        let source = DatasetSource::synthetic(options());
-        let resolved = source.resolve("BeetleFly").unwrap();
-        assert_eq!(resolved.kind(), SourceKind::Synthetic);
-        assert_eq!(resolved.train_provenance.seed, Some(3));
-        assert_eq!(
-            resolved.train_provenance.generator_version,
-            Some(GENERATOR_VERSION)
-        );
-        for (split, eager) in [
-            (Split::Train, &resolved.train),
-            (Split::Test, &resolved.test),
-        ] {
-            let stream = source.open_split("BeetleFly", split).unwrap();
-            assert_eq!(stream.n_instances(), eager.len());
-            assert_eq!(stream.max_length(), eager.max_length());
-            assert_eq!(stream.provenance().kind, SourceKind::Synthetic);
-            assert_eq!(collect(stream).as_slice(), eager.series());
-        }
-    }
-
     #[test]
     fn real_directory_takes_precedence_and_streams_identically() {
         let dir = temp_dir("real");
@@ -695,11 +379,9 @@ mod tests {
         assert!(from_files.train_provenance.path.is_some());
         assert!(from_files.train_provenance.describe().starts_with("real"));
 
-        let stream = real.open_split("Herring", Split::Test).unwrap();
-        assert_eq!(stream.provenance().kind, SourceKind::Real);
-        assert_eq!(stream.n_instances(), resolved.test.len());
-        assert_eq!(stream.max_length(), resolved.test.max_length());
-        assert_eq!(collect(stream).as_slice(), resolved.test.series());
+        let (test, provenance) = real.resolve_split("Herring", Split::Test).unwrap();
+        assert_eq!(provenance, from_files.test_provenance);
+        assert_eq!(test.series(), resolved.test.series());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -714,7 +396,7 @@ mod tests {
             Err(SourceError::Read { .. })
         ));
         assert!(matches!(
-            source.open_split("BeetleFly", Split::Train),
+            source.resolve_split("BeetleFly", Split::Train),
             Err(SourceError::Read { .. })
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -747,20 +429,16 @@ mod tests {
         .unwrap();
         std::fs::write(dir.join("Var_TEST.txt"), "1,0.5,0.25,0.125,NaN\n").unwrap();
         let source = DatasetSource::synthetic(options()).with_ucr_dir(&dir);
-        let stream = source.open_split("Var", Split::Train).unwrap();
-        assert_eq!(stream.n_instances(), 2);
-        assert_eq!(stream.max_length(), 4);
+        let (train, provenance) = source.resolve_split("Var", Split::Train).unwrap();
+        assert_eq!(train.len(), 2);
+        assert_eq!(train.max_length(), 4);
         // the content hash artefacts embed, pinned across versions
-        assert_eq!(
-            stream.provenance().content_hash,
-            Some(0x5d00_b80e_3c61_8b86)
-        );
-        let series = collect(stream);
-        assert_eq!(series[0].len(), 2);
-        assert_eq!(series[1].len(), 4);
-        // eager resolution agrees (names and all)
+        assert_eq!(provenance.content_hash, Some(0x5d00_b80e_3c61_8b86));
+        assert_eq!(train.series()[0].len(), 2);
+        assert_eq!(train.series()[1].len(), 4);
+        // the pair resolution agrees (names and all)
         let resolved = source.resolve("Var").unwrap();
-        assert_eq!(resolved.train.series(), series.as_slice());
+        assert_eq!(resolved.train, train);
         assert_eq!(resolved.train.name, "Var_TRAIN");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -769,7 +447,7 @@ mod tests {
     fn real_pair_label_indices_are_consistent_across_splits() {
         // the splits list classes in different first-appearance orders (and
         // TEST contains a label TRAIN never saw): raw labels must map to the
-        // same indices in both splits, on both the eager and streaming paths
+        // same indices in both splits, for the pair and for one split
         let dir = temp_dir("labels");
         std::fs::write(
             dir.join("Lab_TRAIN.txt"),
@@ -786,11 +464,6 @@ mod tests {
         assert_eq!(resolved.train.labels_required().unwrap(), vec![0, 1, 0, 2]);
         // -2 → 1 and 9 → 2 exactly as in training; unseen 7 extends to 3
         assert_eq!(resolved.test.labels_required().unwrap(), vec![1, 2, 3]);
-        let streamed: Vec<usize> = collect(source.open_split("Lab", Split::Test).unwrap())
-            .iter()
-            .map(|s| s.label().unwrap())
-            .collect();
-        assert_eq!(streamed, vec![1, 2, 3]);
         let (eager_test, _) = source.resolve_split("Lab", Split::Test).unwrap();
         assert_eq!(eager_test.labels_required().unwrap(), vec![1, 2, 3]);
         std::fs::remove_dir_all(&dir).ok();
@@ -802,11 +475,15 @@ mod tests {
         let source = DatasetSource::synthetic(options());
         let pair = source.resolve("BeetleFly").unwrap();
         // synthetic
+        assert_eq!(pair.kind(), SourceKind::Synthetic);
         let (train, prov) = source.resolve_split("BeetleFly", Split::Train).unwrap();
         assert_eq!(train, pair.train);
-        assert_eq!(prov.kind, SourceKind::Synthetic);
-        let (test, _) = source.resolve_split("BeetleFly", Split::Test).unwrap();
+        assert_eq!(prov, pair.train_provenance);
+        assert_eq!(prov.seed, Some(3));
+        assert_eq!(prov.generator_version, Some(GENERATOR_VERSION));
+        let (test, prov) = source.resolve_split("BeetleFly", Split::Test).unwrap();
         assert_eq!(test, pair.test);
+        assert_eq!(prov, pair.test_provenance);
         // real: only the requested split's file is needed on disk
         tsg_ts::io::write_ucr_file(&pair.train, dir.join("BeetleFly_TRAIN.txt")).unwrap();
         tsg_ts::io::write_ucr_file(&pair.test, dir.join("BeetleFly_TEST.txt")).unwrap();
@@ -815,6 +492,7 @@ mod tests {
         assert_eq!(prov.kind, SourceKind::Real);
         assert_eq!(train.series(), pair.train.series());
         assert_eq!(train.name, "BeetleFly_TRAIN");
+        assert_eq!(prov, real.resolve("BeetleFly").unwrap().train_provenance);
         std::fs::remove_dir_all(&dir).ok();
     }
 

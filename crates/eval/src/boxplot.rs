@@ -1,9 +1,7 @@
 //! Box-plot summaries (Figure 2: motif probability distributions per class).
 
-use serde::{Deserialize, Serialize};
-
 /// Five-number summary plus mean of one group of values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoxplotSummary {
     /// Group label (e.g. `"Class 1 P(M41)"`).
     pub label: String,

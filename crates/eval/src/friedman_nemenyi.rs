@@ -9,7 +9,6 @@
 //! insignificance cliques — everything needed to draw the diagram.
 
 use crate::ranks::average_ranks;
-use serde::{Deserialize, Serialize};
 
 /// Studentised range statistic `q_α / sqrt(2)` for α = 0.05, indexed by the
 /// number of methods `k` (2 ≤ k ≤ 10). Values from Demšar (2006), the
@@ -27,7 +26,7 @@ const NEMENYI_Q_ALPHA_05: [f64; 9] = [
 ];
 
 /// Result of the Friedman test.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FriedmanResult {
     /// Average rank per method (rank 1 = best).
     pub average_ranks: Vec<f64>,
@@ -61,7 +60,7 @@ pub fn friedman_test(error_rates: &[Vec<f64>]) -> FriedmanResult {
 }
 
 /// Critical-difference data for a Nemenyi post-hoc comparison at α = 0.05.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CriticalDifference {
     /// Method names, in the input column order.
     pub methods: Vec<String>,
@@ -123,11 +122,6 @@ pub fn nemenyi_critical_difference(
 }
 
 impl CriticalDifference {
-    /// Whether two methods (by column index) are significantly different.
-    pub fn is_significant(&self, a: usize, b: usize) -> bool {
-        (self.average_ranks[a] - self.average_ranks[b]).abs() >= self.cd
-    }
-
     /// A plain-text rendering of the critical-difference diagram.
     pub fn render(&self) -> String {
         let mut order: Vec<usize> = (0..self.methods.len()).collect();
@@ -201,7 +195,7 @@ mod tests {
     fn significant_and_insignificant_pairs() {
         let errors = matrix_with_clear_winner();
         let cd = nemenyi_critical_difference(&errors, &["best", "mid", "worst"]);
-        assert!(cd.is_significant(0, 2));
+        assert!((cd.average_ranks[0] - cd.average_ranks[2]).abs() >= cd.cd);
         assert!(!cd
             .insignificant_groups
             .iter()
@@ -224,7 +218,7 @@ mod tests {
             })
             .collect();
         let cd = nemenyi_critical_difference(&errors, &["a", "b"]);
-        assert!(!cd.is_significant(0, 1));
+        assert!((cd.average_ranks[0] - cd.average_ranks[1]).abs() < cd.cd);
         assert_eq!(cd.insignificant_groups.len(), 1);
     }
 

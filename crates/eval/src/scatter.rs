@@ -5,10 +5,8 @@
 //! external plotting and renders a coarse ASCII scatter plot for terminal
 //! inspection.
 
-use serde::{Deserialize, Serialize};
-
 /// Win / tie / loss counts of method Y against method X.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WinLoss {
     /// Datasets where Y has the strictly smaller value (wins, for error rates).
     pub wins: usize,
@@ -19,7 +17,7 @@ pub struct WinLoss {
 }
 
 /// A paired comparison of two methods over a set of named datasets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScatterComparison {
     /// Label of the x-axis method.
     pub x_label: String,

@@ -30,24 +30,6 @@ impl Table {
         self.rows.len()
     }
 
-    /// Renders the table as GitHub-flavoured Markdown.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("| {} |\n", self.header.join(" | ")));
-        out.push_str(&format!(
-            "|{}|\n",
-            self.header
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|")
-        ));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
-
     /// Renders the table with whitespace-aligned columns for terminals.
     pub fn to_aligned(&self) -> String {
         let n_cols = self.header.len();
@@ -116,14 +98,6 @@ mod tests {
         t.add_row(vec!["ArrowHead".into(), fmt3(0.2), fmt3(0.398)]);
         t.add_row(vec!["BeetleFly".into(), fmt3(0.25), fmt3(0.18)]);
         t
-    }
-
-    #[test]
-    fn markdown_rendering() {
-        let md = table().to_markdown();
-        assert!(md.starts_with("| Dataset | 1NN-ED | MVG |"));
-        assert!(md.contains("| ArrowHead | 0.200 | 0.398 |"));
-        assert_eq!(md.lines().count(), 4);
     }
 
     #[test]

@@ -9,10 +9,8 @@
 //! `degree()` a subtraction of two offsets, and lays every neighborhood out
 //! contiguously for the cache-bound motif kernel.
 
-use serde::{Deserialize, Serialize};
-
 /// An undirected simple graph over vertices `0..n`, stored as CSR.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     /// `offsets[u]..offsets[u + 1]` indexes `u`'s slice of `neighbors`.
     offsets: Vec<u32>,
@@ -183,11 +181,6 @@ impl Graph {
         })
     }
 
-    /// Number of common neighbors of `u` and `v` (sorted-merge intersection).
-    pub fn common_neighbor_count(&self, u: usize, v: usize) -> usize {
-        sorted_intersection_count(self.neighbors(u), self.neighbors(v))
-    }
-
     /// Common neighbors of `u` and `v` (sorted-merge reference path; the
     /// motif kernel uses the allocation-free marker path instead).
     pub fn common_neighbors(&self, u: usize, v: usize) -> Vec<u32> {
@@ -202,25 +195,6 @@ impl Graph {
         }
         self.edges().all(|(u, v)| other.has_edge(u, v))
     }
-}
-
-/// Size of the intersection of two sorted ascending slices.
-pub fn sorted_intersection_count(a: &[u32], b: &[u32]) -> usize {
-    let mut i = 0;
-    let mut j = 0;
-    let mut count = 0;
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    count
 }
 
 /// Intersection of two sorted ascending slices.
@@ -321,10 +295,9 @@ mod tests {
     #[test]
     fn common_neighbors_work() {
         let g = triangle_with_tail();
-        assert_eq!(g.common_neighbor_count(1, 2), 1); // vertex 0
         assert_eq!(g.common_neighbors(1, 2), vec![0]);
-        assert_eq!(g.common_neighbor_count(1, 3), 1); // vertex 0
-        assert_eq!(g.common_neighbor_count(2, 3), 1);
+        assert_eq!(g.common_neighbors(1, 3), vec![0]);
+        assert_eq!(g.common_neighbors(2, 3).len(), 1);
     }
 
     #[test]
@@ -339,9 +312,8 @@ mod tests {
 
     #[test]
     fn sorted_set_helpers() {
-        assert_eq!(sorted_intersection_count(&[1, 3, 5], &[2, 3, 5, 7]), 2);
         assert_eq!(sorted_intersection(&[1, 3, 5], &[2, 3, 5, 7]), vec![3, 5]);
-        assert_eq!(sorted_intersection_count(&[], &[1, 2]), 0);
+        assert!(sorted_intersection(&[], &[1, 2]).is_empty());
     }
 
     #[test]

@@ -11,12 +11,11 @@
 //! strategy; a brute-force enumerator over all subsets is kept for tests.
 
 use crate::graph::Graph;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
 /// The sixteen motif types of Table 1 (size 2, 3 and 4; connected and
 /// disconnected), identified by the paper's `M{size}{index}` naming.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Motif {
     /// `M2_1` — a single edge.
     Edge2,
@@ -162,7 +161,7 @@ impl Motif {
 }
 
 /// Exact induced-subgraph counts for all motifs of size 2, 3 and 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MotifCounts {
     /// `M2_1` single edges.
     pub edge2: u64,

@@ -4,7 +4,6 @@
 use crate::assortativity::degree_assortativity;
 use crate::graph::Graph;
 use crate::kcore::max_coreness;
-use serde::{Deserialize, Serialize};
 
 /// Graph density (equation 2): `2|E| / (|V| (|V| - 1))`, in `[0, 1]`.
 /// Zero for graphs with fewer than two vertices.
@@ -17,7 +16,7 @@ pub fn density(graph: &Graph) -> f64 {
 }
 
 /// Minimum, maximum and mean degree of a graph.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DegreeStatistics {
     /// Smallest vertex degree.
     pub min: f64,
@@ -61,7 +60,7 @@ pub fn degree_statistics(graph: &Graph) -> DegreeStatistics {
 /// The scalar (non-motif) statistical features the paper extracts from every
 /// visibility graph: density, maximum coreness, assortativity and degree
 /// statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GraphStatistics {
     /// Graph density (equation 2).
     pub density: f64,

@@ -15,10 +15,9 @@
 //! runs in `O(n)`.
 
 use crate::graph::Graph;
-use serde::{Deserialize, Serialize};
 
 /// Which visibility criterion to apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VisibilityKind {
     /// Natural visibility graph (Definition 2.3).
     Natural,

@@ -4,10 +4,9 @@ use crate::error::MlError;
 use crate::Result;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A dense row-major feature matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FeatureMatrix {
     data: Vec<f64>,
     n_rows: usize,

@@ -8,11 +8,10 @@ use crate::Result;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use tsg_parallel::ThreadPool;
 
 /// Hyper-parameters for [`RandomForest`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RandomForestParams {
     /// Number of trees.
     pub n_estimators: usize,
@@ -58,7 +57,7 @@ fn tree_seed(seed: u64, t: u64) -> u64 {
 
 /// A Random Forest classifier (probability averaging over bootstrapped
 /// trees).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RandomForest {
     params: RandomForestParams,
     trees: Vec<DecisionTree>,

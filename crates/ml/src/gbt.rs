@@ -15,10 +15,9 @@ use crate::Result;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for [`GradientBoosting`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GradientBoostingParams {
     /// Number of boosting rounds (each round fits one tree per class).
     pub n_estimators: usize,
@@ -57,7 +56,7 @@ impl Default for GradientBoostingParams {
 }
 
 /// One node of a regression tree; stored flat.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum RegNode {
     Leaf {
         weight: f64,
@@ -70,7 +69,7 @@ enum RegNode {
     },
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct RegressionTree {
     nodes: Vec<RegNode>,
 }
@@ -319,7 +318,7 @@ impl<'a> TreeBuilder<'a> {
 }
 
 /// Gradient-boosted trees with a softmax multi-class objective.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GradientBoosting {
     params: GradientBoostingParams,
     /// `trees[round][class]`

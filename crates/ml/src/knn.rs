@@ -9,10 +9,9 @@ use crate::data::{n_classes, FeatureMatrix};
 use crate::error::MlError;
 use crate::traits::Classifier;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// k-nearest-neighbour classifier with Euclidean distance and majority vote.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KnnClassifier {
     k: usize,
     train_x: FeatureMatrix,

@@ -46,7 +46,7 @@ pub use forest::{RandomForest, RandomForestParams};
 pub use gbt::{GradientBoosting, GradientBoostingParams};
 pub use knn::KnnClassifier;
 pub use logreg::{LogisticRegression, LogisticRegressionParams};
-pub use metrics::{accuracy, error_rate, log_loss, ConfusionMatrix};
+pub use metrics::{accuracy, error_rate, log_loss};
 pub use model_selection::{cross_val_log_loss, GridSearch};
 pub use scaling::{MinMaxScaler, StandardScaler};
 pub use snapshot::restore_classifier;

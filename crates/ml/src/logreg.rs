@@ -7,10 +7,9 @@ use crate::data::{n_classes, FeatureMatrix};
 use crate::error::MlError;
 use crate::traits::{softmax, Classifier};
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for [`LogisticRegression`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogisticRegressionParams {
     /// Learning rate.
     pub learning_rate: f64,
@@ -31,7 +30,7 @@ impl Default for LogisticRegressionParams {
 }
 
 /// Multinomial (softmax) logistic regression.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogisticRegression {
     params: LogisticRegressionParams,
     /// `weights[class][feature]`, last entry per class is the bias.

@@ -1,8 +1,6 @@
 //! Classification metrics: accuracy, error rate, cross-entropy (log-loss)
 //! and confusion matrices.
 
-use serde::{Deserialize, Serialize};
-
 /// Fraction of predictions equal to the ground truth.
 pub fn accuracy(truth: &[usize], predicted: &[usize]) -> f64 {
     assert_eq!(truth.len(), predicted.len(), "length mismatch");
@@ -38,62 +36,6 @@ pub fn log_loss(truth: &[usize], probabilities: &[Vec<f64>]) -> f64 {
     total / truth.len() as f64
 }
 
-/// A `k × k` confusion matrix; rows are true classes, columns predictions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ConfusionMatrix {
-    counts: Vec<Vec<usize>>,
-}
-
-impl ConfusionMatrix {
-    /// Builds the matrix from parallel truth/prediction vectors.
-    pub fn from_predictions(truth: &[usize], predicted: &[usize], n_classes: usize) -> Self {
-        assert_eq!(truth.len(), predicted.len(), "length mismatch");
-        let mut counts = vec![vec![0usize; n_classes]; n_classes];
-        for (&t, &p) in truth.iter().zip(predicted.iter()) {
-            if t < n_classes && p < n_classes {
-                counts[t][p] += 1;
-            }
-        }
-        ConfusionMatrix { counts }
-    }
-
-    /// Count of samples with true class `t` predicted as `p`.
-    pub fn get(&self, t: usize, p: usize) -> usize {
-        self.counts[t][p]
-    }
-
-    /// Number of classes.
-    pub fn n_classes(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Overall accuracy derived from the matrix.
-    pub fn accuracy(&self) -> f64 {
-        let total: usize = self.counts.iter().map(|r| r.iter().sum::<usize>()).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let diag: usize = (0..self.counts.len()).map(|i| self.counts[i][i]).sum();
-        diag as f64 / total as f64
-    }
-
-    /// Per-class recall (`None` for classes with no true samples).
-    pub fn recalls(&self) -> Vec<Option<f64>> {
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, row)| {
-                let total: usize = row.iter().sum();
-                if total == 0 {
-                    None
-                } else {
-                    Some(row[i] as f64 / total as f64)
-                }
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,23 +59,6 @@ mod tests {
         let wrong = vec![vec![0.0, 1.0], vec![1.0, 0.0]];
         assert!(log_loss(&t, &wrong) > 10.0); // clipped, large but finite
         assert!(log_loss(&t, &wrong).is_finite());
-    }
-
-    #[test]
-    fn confusion_matrix_basics() {
-        let t = [0, 0, 1, 1, 2];
-        let p = [0, 1, 1, 1, 0];
-        let cm = ConfusionMatrix::from_predictions(&t, &p, 3);
-        assert_eq!(cm.get(0, 0), 1);
-        assert_eq!(cm.get(0, 1), 1);
-        assert_eq!(cm.get(1, 1), 2);
-        assert_eq!(cm.get(2, 0), 1);
-        assert_eq!(cm.n_classes(), 3);
-        assert!((cm.accuracy() - 0.6).abs() < 1e-12);
-        let recalls = cm.recalls();
-        assert_eq!(recalls[0], Some(0.5));
-        assert_eq!(recalls[1], Some(1.0));
-        assert_eq!(recalls[2], Some(0.0));
     }
 
     #[test]

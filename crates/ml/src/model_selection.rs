@@ -54,40 +54,6 @@ pub fn cross_val_log_loss(
     Ok(total / used as f64)
 }
 
-/// Mean cross-validated accuracy of the model produced by `builder`.
-pub fn cross_val_accuracy(
-    builder: &dyn Fn() -> Box<dyn Classifier>,
-    x: &FeatureMatrix,
-    y: &[usize],
-    n_folds: usize,
-    seed: u64,
-) -> Result<f64> {
-    if x.n_rows() != y.len() || x.is_empty() {
-        return Err(MlError::InvalidData("empty or mismatched data".into()));
-    }
-    let folds = StratifiedKFold::new(n_folds, seed)?.split(y);
-    let mut total = 0.0;
-    let mut used = 0usize;
-    for (train_idx, valid_idx) in folds {
-        if train_idx.is_empty() || valid_idx.is_empty() {
-            continue;
-        }
-        let x_train = x.select_rows(&train_idx);
-        let y_train: Vec<usize> = train_idx.iter().map(|&i| y[i]).collect();
-        let x_valid = x.select_rows(&valid_idx);
-        let y_valid: Vec<usize> = valid_idx.iter().map(|&i| y[i]).collect();
-        let mut model = builder();
-        model.fit(&x_train, &y_train)?;
-        let pred = model.predict(&x_valid)?;
-        total += crate::metrics::accuracy(&y_valid, &pred);
-        used += 1;
-    }
-    if used == 0 {
-        return Err(MlError::InvalidData("no usable folds".into()));
-    }
-    Ok(total / used as f64)
-}
-
 /// Result of evaluating one grid-search candidate.
 #[derive(Debug, Clone)]
 pub struct GridSearchResult {
@@ -188,7 +154,6 @@ impl GridSearch {
 mod tests {
     use super::*;
     use crate::gbt::{GradientBoosting, GradientBoostingParams};
-    use crate::knn::KnnClassifier;
     use crate::tree::{DecisionTree, DecisionTreeParams};
 
     fn dataset() -> (FeatureMatrix, Vec<usize>) {
@@ -232,20 +197,6 @@ mod tests {
         )
         .unwrap();
         assert!(good < weak, "good {good} vs weak {weak}");
-    }
-
-    #[test]
-    fn cross_val_accuracy_reasonable() {
-        let (x, y) = dataset();
-        let acc = cross_val_accuracy(
-            &|| Box::new(KnnClassifier::new(1)) as Box<dyn Classifier>,
-            &x,
-            &y,
-            3,
-            0,
-        )
-        .unwrap();
-        assert!(acc > 0.8, "accuracy {acc}");
     }
 
     #[test]

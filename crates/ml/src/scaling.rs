@@ -9,7 +9,6 @@
 use crate::data::FeatureMatrix;
 use crate::error::MlError;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Rejects NaN / ±inf anywhere in `what`, naming the first offending
 /// column. Without this, `f64::min`/`max` silently *skip* NaN during `fit`
@@ -29,7 +28,7 @@ fn reject_non_finite(x: &FeatureMatrix, what: &str) -> Result<()> {
 }
 
 /// Min-max scaler mapping each feature into `[0, 1]`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MinMaxScaler {
     mins: Vec<f64>,
     ranges: Vec<f64>,
@@ -119,7 +118,7 @@ impl MinMaxScaler {
 }
 
 /// Standard scaler mapping each feature to zero mean and unit variance.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StandardScaler {
     means: Vec<f64>,
     stds: Vec<f64>,

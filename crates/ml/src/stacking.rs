@@ -94,11 +94,6 @@ impl StackingEnsemble {
         self
     }
 
-    /// Number of registered candidates.
-    pub fn n_candidates(&self) -> usize {
-        self.candidates.len()
-    }
-
     /// Scores from the selection phase (available after fitting).
     pub fn candidate_scores(&self) -> &[CandidateScore] {
         &self.scores
@@ -311,7 +306,7 @@ mod tests {
         let (x, y) = dataset();
         let mut ens = make_ensemble(2);
         ens.fit(&x, &y).unwrap();
-        assert_eq!(ens.n_candidates(), 4);
+        assert_eq!(ens.candidates.len(), 4);
         assert_eq!(ens.candidate_scores().len(), 4);
         assert_eq!(
             ens.candidate_scores().iter().filter(|s| s.selected).count(),

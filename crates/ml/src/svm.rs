@@ -13,10 +13,9 @@ use crate::Result;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Kernel function choice.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SvmKernel {
     /// Plain dot product.
     Linear,
@@ -40,7 +39,7 @@ impl SvmKernel {
 }
 
 /// Hyper-parameters for [`SvmClassifier`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SvmParams {
     /// Soft-margin penalty.
     pub c: f64,
@@ -70,7 +69,7 @@ impl Default for SvmParams {
 }
 
 /// One binary SVM (labels ±1) trained by simplified SMO.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct BinarySvm {
     alphas: Vec<f64>,
     bias: f64,
@@ -206,7 +205,7 @@ impl BinarySvm {
 }
 
 /// One-vs-rest kernel SVM classifier.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SvmClassifier {
     params: SvmParams,
     machines: Vec<BinarySvm>,

@@ -11,10 +11,9 @@ use crate::Result;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for [`DecisionTree`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecisionTreeParams {
     /// Maximum tree depth.
     pub max_depth: usize,
@@ -40,7 +39,7 @@ impl Default for DecisionTreeParams {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Node {
     Leaf {
         proba: Vec<f64>,
@@ -54,7 +53,7 @@ enum Node {
 }
 
 /// A CART classification tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DecisionTree {
     params: DecisionTreeParams,
     nodes: Vec<Node>,

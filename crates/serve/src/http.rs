@@ -156,11 +156,6 @@ impl RequestParser {
         !self.buf.is_empty()
     }
 
-    /// Number of unconsumed buffered bytes.
-    pub fn buffered_bytes(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Tries to parse one complete request off the front of the buffer.
     /// `Ok(None)` means more bytes are needed.
     pub fn next_request(&mut self) -> Result<Option<Request>, ParseError> {
@@ -476,7 +471,7 @@ mod tests {
         assert_eq!(r.body.len(), 15);
         assert!(r.keep_alive());
         assert_eq!(
-            parser.buffered_bytes(),
+            parser.buf.len(),
             1,
             "the extra byte starts the next request"
         );

@@ -435,9 +435,13 @@ impl<'a> Parser<'a> {
             .bytes
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.error("truncated unicode escape"))?;
-        let text = std::str::from_utf8(digits).map_err(|_| self.error("invalid unicode escape"))?;
-        let code =
-            u32::from_str_radix(text, 16).map_err(|_| self.error("invalid unicode escape"))?;
+        // `from_str_radix` alone would also take a sign (`\u+041`)
+        if !digits.iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.error("invalid unicode escape"));
+        }
+        let code = digits.iter().fold(0, |code, &d| {
+            (code << 4) | (d as char).to_digit(16).unwrap_or(0)
+        });
         self.pos += 4;
         Ok(code)
     }
@@ -574,6 +578,7 @@ mod tests {
             "{\"a\": 1,}",
             "\"\\q\"",
             "\"\\ud800x\"",
+            "\"\\u+041\"",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }

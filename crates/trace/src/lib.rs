@@ -322,12 +322,6 @@ impl FinishedTrace {
     pub fn stage(&self, stage: Stage) -> u64 {
         self.stage_nanos.get(stage.index()).copied().unwrap_or(0)
     }
-
-    /// Sum of all stage spans — ≤ `total_nanos` by construction (stages
-    /// are disjoint sub-intervals of the request lifetime).
-    pub fn stage_sum_nanos(&self) -> u64 {
-        self.stage_nanos.iter().sum()
-    }
 }
 
 fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -484,7 +478,7 @@ mod tests {
         assert_eq!(done.model.as_deref(), Some("m"));
         assert_eq!(done.status, 200);
         assert_eq!(done.faults_injected, 2);
-        assert_eq!(done.stage_sum_nanos(), 22);
+        assert_eq!(done.stage_nanos.iter().sum::<u64>(), 22);
     }
 
     #[test]

@@ -78,12 +78,6 @@ pub fn init_from_env() {
     }
 }
 
-/// Overrides the level filter programmatically (`None` = off). Mostly for
-/// tests; production configuration goes through [`init_from_env`].
-pub fn set_max_level(level: Option<Level>) {
-    MAX_LEVEL.store(level.map(|l| l as u8).unwrap_or(0), Ordering::Relaxed);
-}
-
 /// True when a record at `level` would be emitted.
 pub fn enabled(level: Level) -> bool {
     (level as u8) <= MAX_LEVEL.load(Ordering::Relaxed)
@@ -219,12 +213,12 @@ mod tests {
 
     #[test]
     fn the_filter_gates_by_severity() {
-        set_max_level(Some(Level::Warn));
+        MAX_LEVEL.store(Level::Warn as u8, Ordering::Relaxed);
         assert!(enabled(Level::Error));
         assert!(enabled(Level::Warn));
         assert!(!enabled(Level::Info));
-        set_max_level(None);
+        MAX_LEVEL.store(0, Ordering::Relaxed);
         assert!(!enabled(Level::Error));
-        set_max_level(Some(Level::Info));
+        MAX_LEVEL.store(Level::Info as u8, Ordering::Relaxed);
     }
 }

@@ -10,7 +10,6 @@
 
 use crate::error::TsError;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Squared Euclidean distance between two equal-length slices.
 pub fn squared_euclidean(a: &[f64], b: &[f64]) -> Result<f64> {
@@ -29,7 +28,7 @@ pub fn euclidean(a: &[f64], b: &[f64]) -> Result<f64> {
 }
 
 /// Options controlling DTW computation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DtwOptions {
     /// Sakoe–Chiba band half-width as a fraction of the series length
     /// (`None` = unconstrained warping).
@@ -52,12 +51,6 @@ impl DtwOptions {
             window_fraction: Some(fraction),
             early_abandon: None,
         }
-    }
-
-    /// Adds an early-abandon threshold (a squared distance).
-    pub fn abandon_above(mut self, threshold: f64) -> Self {
-        self.early_abandon = Some(threshold);
-        self
     }
 }
 
@@ -225,7 +218,10 @@ mod tests {
     fn early_abandon_returns_infinity() {
         let a: Vec<f64> = (0..100).map(|i| i as f64).collect();
         let b: Vec<f64> = (0..100).map(|i| -(i as f64)).collect();
-        let opts = DtwOptions::unconstrained().abandon_above(1.0);
+        let opts = DtwOptions {
+            early_abandon: Some(1.0),
+            ..DtwOptions::unconstrained()
+        };
         assert!(dtw_with_options(&a, &b, opts).unwrap().is_infinite());
     }
 

@@ -27,14 +27,14 @@
 //!   feature extraction downstream.
 //!
 //! Parsing is incremental: [`UcrRecordParser`] consumes one line at a time
-//! and is the single implementation behind both the eager [`parse_ucr`] /
-//! [`read_ucr_file`] path and the streaming split readers in
-//! `tsg_datasets::source`, so the two can never disagree.
+//! and is the single implementation behind [`parse_ucr`], [`read_ucr_file`]
+//! and the split reader in `tsg_datasets::source`, so they can never
+//! disagree.
 
 use crate::error::TsError;
 use crate::series::{Dataset, TimeSeries};
 use crate::Result;
-use std::io::{BufRead, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// Field separator used when serialising a dataset.
@@ -62,8 +62,7 @@ impl UcrSeparator {
 /// line, or a [`TsError::Parse`] describing the malformed input. Call
 /// [`UcrRecordParser::finish`] after the last line to reject files with no
 /// records. The parser carries the label-remapping table and the pinned
-/// field count across lines, which is exactly the state a streaming reader
-/// needs to be bit-identical to the eager [`parse_ucr`].
+/// field count across lines.
 #[derive(Debug, Clone, Default)]
 pub struct UcrRecordParser {
     label_map: Vec<i64>,
@@ -95,11 +94,6 @@ impl UcrRecordParser {
     /// The label table built so far: raw labels in index order.
     pub fn label_map(&self) -> &[i64] {
         &self.label_map
-    }
-
-    /// Number of records successfully parsed so far.
-    pub fn records(&self) -> usize {
-        self.records
     }
 
     /// Parses one physical line (`lineno` is 1-based, used in errors).
@@ -243,28 +237,16 @@ pub fn parse_ucr_with(
     Ok(dataset)
 }
 
-/// Reads a UCR-format file from disk.
+/// Reads a UCR-format file from disk; the dataset is named after the file
+/// stem.
 pub fn read_ucr_file(path: impl AsRef<Path>) -> Result<Dataset> {
-    read_ucr_file_with(&mut UcrRecordParser::new(), path)
-}
-
-/// [`read_ucr_file`] driving a caller-supplied parser (see
-/// [`parse_ucr_with`] for when and how to share label tables across the
-/// files of a pair).
-pub fn read_ucr_file_with(parser: &mut UcrRecordParser, path: impl AsRef<Path>) -> Result<Dataset> {
     let path = path.as_ref();
-    let file = std::fs::File::open(path)?;
-    let mut content = String::new();
-    let mut reader = std::io::BufReader::new(file);
-    for line in (&mut reader).lines() {
-        content.push_str(&line?);
-        content.push('\n');
-    }
+    let content = std::fs::read_to_string(path)?;
     let name = path
         .file_stem()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| "dataset".to_string());
-    parse_ucr_with(parser, &content, name)
+    parse_ucr(&content, name)
 }
 
 /// Serialises a dataset to the comma-separated UCR format.
@@ -515,7 +497,7 @@ mod tests {
             }
         }
         parser.finish().unwrap();
-        assert_eq!(parser.records(), 3);
+        assert_eq!(streamed.len(), 3);
         assert_eq!(eager.series(), streamed.as_slice());
     }
 }

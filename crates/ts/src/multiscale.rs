@@ -8,10 +8,9 @@
 use crate::paa::paa;
 use crate::series::TimeSeries;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Options controlling the multiscale cascade.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiscaleOptions {
     /// Minimum length of the smallest approximation, `τ` in the paper.
     ///
@@ -44,7 +43,7 @@ impl MultiscaleOptions {
 
 /// The multiscale representation of one series: the original plus its
 /// downscaled approximations (Definition 3.2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiscaleRepresentation {
     /// `T0`, the original series.
     pub original: TimeSeries,
@@ -60,29 +59,6 @@ impl MultiscaleRepresentation {
             original: series.clone(),
             approximations,
         })
-    }
-
-    /// All scales including the original, ordered `T0, T1, …, Tm`.
-    pub fn all_scales(&self) -> Vec<&TimeSeries> {
-        std::iter::once(&self.original)
-            .chain(self.approximations.iter())
-            .collect()
-    }
-
-    /// Only the approximations `T1..Tm` (the AMVG inputs).
-    pub fn approximations_only(&self) -> &[TimeSeries] {
-        &self.approximations
-    }
-
-    /// Number of scales including the original.
-    pub fn n_scales(&self) -> usize {
-        1 + self.approximations.len()
-    }
-
-    /// Total number of points across all scales. The paper observes this is
-    /// bounded by `2n` (it is at most `n + n/2 + n/4 + … < 2n`).
-    pub fn total_points(&self) -> usize {
-        self.original.len() + self.approximations.iter().map(|t| t.len()).sum::<usize>()
     }
 }
 
@@ -160,9 +136,14 @@ mod tests {
     fn representation_total_points_bounded_by_2n() {
         let t = ramp(500);
         let rep = MultiscaleRepresentation::build(&t, MultiscaleOptions::with_tau(0)).unwrap();
-        assert!(rep.total_points() < 2 * t.len());
-        assert_eq!(rep.all_scales().len(), rep.n_scales());
-        assert_eq!(rep.all_scales()[0].len(), 500);
+        let total_points = rep.original.len()
+            + rep
+                .approximations
+                .iter()
+                .map(TimeSeries::len)
+                .sum::<usize>();
+        assert!(total_points < 2 * t.len());
+        assert_eq!(rep.original.len(), 500);
     }
 
     #[test]
@@ -181,7 +162,7 @@ mod tests {
         let t = ramp(128);
         let rep = MultiscaleRepresentation::build(&t, MultiscaleOptions::default()).unwrap();
         let orig_mean = t.mean();
-        for scale in rep.approximations_only() {
+        for scale in &rep.approximations {
             assert!((scale.mean() - orig_mean).abs() < 1e-9);
         }
     }

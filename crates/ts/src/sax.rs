@@ -10,10 +10,9 @@ use crate::error::TsError;
 use crate::paa::paa;
 use crate::preprocess::znormalize;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// SAX parameters: alphabet cardinality and PAA word length.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SaxParams {
     /// Alphabet size (2 ..= 20).
     pub alphabet_size: usize,

@@ -7,7 +7,6 @@
 use crate::error::TsError;
 use crate::stats;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A single univariate, real-valued time series with an optional class label.
@@ -15,7 +14,7 @@ use std::collections::BTreeMap;
 /// Values are stored as `f64`; labels are small non-negative integers encoded
 /// as `usize` (the synthetic archive and the UCR text format both use integer
 /// class labels).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     values: Vec<f64>,
     label: Option<usize>,
@@ -88,18 +87,6 @@ impl TimeSeries {
         self.values.iter().cloned().reduce(f64::max)
     }
 
-    /// Returns a z-normalised copy (zero mean, unit variance).
-    ///
-    /// Constant series (standard deviation below `1e-12`) normalise to all
-    /// zeros rather than dividing by zero.
-    pub fn znormalized(&self) -> TimeSeries {
-        let z = crate::preprocess::znormalize(&self.values);
-        TimeSeries {
-            values: z,
-            label: self.label,
-        }
-    }
-
     /// Extracts the subsequence `[start, start + len)`.
     ///
     /// Returns an error when the window exceeds the series bounds.
@@ -135,7 +122,7 @@ impl From<&[f64]> for TimeSeries {
 
 /// A labeled collection of time series — one split (train or test) of a
 /// classification dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Dataset {
     /// Dataset name (e.g. `"ArrowHead"`).
     pub name: String,
@@ -245,7 +232,7 @@ impl Dataset {
 }
 
 /// Shape summary for one dataset split.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DatasetSummary {
     /// Dataset name.
     pub name: String,
@@ -275,20 +262,6 @@ mod tests {
         assert_eq!(t.min(), Some(1.0));
         assert_eq!(t.max(), Some(4.0));
         assert!((t.mean() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn znormalized_has_zero_mean_unit_std() {
-        let t = toy().znormalized();
-        assert!(t.mean().abs() < 1e-12);
-        assert!((t.std() - 1.0).abs() < 1e-9);
-        assert_eq!(t.label(), Some(1));
-    }
-
-    #[test]
-    fn znormalized_constant_series_is_zeros() {
-        let t = TimeSeries::new(vec![5.0; 8]).znormalized();
-        assert!(t.values().iter().all(|v| *v == 0.0));
     }
 
     #[test]

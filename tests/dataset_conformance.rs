@@ -1,15 +1,16 @@
 //! Golden-fixture conformance suite for the `DatasetSource` pipeline.
 //!
-//! A split can reach feature extraction three ways: eager synthesis,
-//! instance-at-a-time streaming, and a real UCR directory tree (itself
-//! written by the hardened text writer). Feature-based pipelines live or die
-//! on exact ingestion — an archive-parsing or normalisation discrepancy
-//! silently changes every reported accuracy — so this suite pins all three
-//! paths against each other **bit-for-bit**: same feature matrices (raw
-//! `f64` bit patterns), same labels, and same `MvgClassifier` predictions
-//! *and* probabilities, for three catalogue datasets covering every fixture
-//! layout (nested/flat, extension-less / `.txt` / `.tsv`, comma/tab) plus
-//! the NaN-padded variable-length and label-edge-case fixtures.
+//! A split can come from in-memory synthesis or from a real UCR directory
+//! tree (itself written by the hardened text writer), resolved as half of a
+//! pair or on its own. Feature-based pipelines live or die on exact
+//! ingestion — an archive-parsing or normalisation discrepancy silently
+//! changes every reported accuracy — so this suite pins all of these
+//! against each other **bit-for-bit**: same series, same feature matrices
+//! (raw `f64` bit patterns), same labels, and same `MvgClassifier`
+//! predictions *and* probabilities, for catalogue datasets covering every
+//! fixture layout (nested/flat, extension-less / `.txt` / `.tsv`,
+//! comma/tab) plus the NaN-padded variable-length and label-edge-case
+//! fixtures.
 
 use std::path::PathBuf;
 use tsc_mvg::datasets::archive::ArchiveOptions;
@@ -18,8 +19,7 @@ use tsc_mvg::datasets::{DatasetSource, SourceKind, Split};
 use tsc_mvg::ml::gbt::GradientBoostingParams;
 use tsc_mvg::ml::FeatureMatrix;
 use tsc_mvg::mvg::{
-    extract_dataset_features, extract_features_streaming, ClassifierChoice, FeatureConfig,
-    MvgClassifier, MvgConfig,
+    extract_dataset_features, ClassifierChoice, FeatureConfig, MvgClassifier, MvgConfig,
 };
 use tsc_mvg::ts::Dataset;
 
@@ -79,8 +79,9 @@ fn classifier_config(features: FeatureConfig) -> MvgConfig {
     }
 }
 
-/// Extracts a split both eagerly and through the streaming path of `source`,
-/// asserting the two agree bit-for-bit, and returns the eager bits.
+/// Asserts that `source` resolves `split` on its own exactly as `eager`, the
+/// same half of its resolved pair, and returns the bits of `eager`'s
+/// feature matrix.
 fn extract_both_ways(
     source: &DatasetSource,
     name: &str,
@@ -89,23 +90,14 @@ fn extract_both_ways(
     config: &FeatureConfig,
     label: &str,
 ) -> Vec<Vec<u64>> {
-    let (matrix, names) = extract_dataset_features(eager, config, 2);
-    let stream = source
-        .open_split(name, split)
-        .unwrap_or_else(|e| panic!("[{label}] open {name} {split:?}: {e}"));
-    assert_eq!(stream.n_instances(), eager.len(), "[{label}] {name}");
-    assert_eq!(stream.max_length(), eager.max_length(), "[{label}] {name}");
-    let streamed = extract_features_streaming(stream, eager.max_length(), config, 2)
-        .unwrap_or_else(|e| panic!("[{label}] stream {name} {split:?}: {e}"));
-    assert_eq!(streamed.names, names, "[{label}] {name}");
-    assert_eq!(streamed.labels, eager.labels(), "[{label}] {name}");
-    let bits = matrix_bits(&matrix);
+    let (single, _) = source
+        .resolve_split(name, split)
+        .unwrap_or_else(|e| panic!("[{label}] resolve {name} {split:?}: {e}"));
     assert_eq!(
-        matrix_bits(&streamed.features),
-        bits,
-        "[{label}] streaming != eager for {name} {split:?}"
+        &single, eager,
+        "[{label}] resolve_split != resolve for {name} {split:?}"
     );
-    bits
+    matrix_bits(&extract_dataset_features(eager, config, 2).0)
 }
 
 #[test]
@@ -193,8 +185,7 @@ fn variable_length_nan_padded_fixture_streams_identically() {
         !resolved.train.is_uniform_length(),
         "fixture must exercise NaN padding"
     );
-    // rows shorter than the longest series are zero-padded identically on
-    // both paths; width comes from the advertised max length
+    // both resolutions of each split hold the same NaN-stripped series
     let config = FeatureConfig::uvg();
     for (split, eager) in [
         (Split::Train, &resolved.train),
@@ -253,15 +244,12 @@ fn label_edge_case_fixture_remaps_consistently_across_paths() {
     // TEST lists -2, 9 first, but shares TRAIN's label table: indices 1, 2
     // (a per-file remap would say 0, 1 and silently permute every score)
     assert_eq!(resolved.test.labels_required().unwrap(), vec![1, 2]);
-    for (split, eager, expected) in [
-        (Split::Train, &resolved.train, vec![0usize, 1, 0, 2]),
-        (Split::Test, &resolved.test, vec![1, 2]),
+    for (split, expected) in [
+        (Split::Train, vec![0usize, 1, 0, 2]),
+        (Split::Test, vec![1, 2]),
     ] {
-        let stream = source.open_split(LABELS_FIXTURE, split).unwrap();
-        let streamed =
-            extract_features_streaming(stream, eager.max_length(), &FeatureConfig::uvg(), 2)
-                .unwrap();
-        assert_eq!(streamed.labels_required().unwrap(), expected, "{split:?}");
+        let (single, _) = source.resolve_split(LABELS_FIXTURE, split).unwrap();
+        assert_eq!(single.labels_required().unwrap(), expected, "{split:?}");
     }
     std::fs::remove_dir_all(&fixture_root).ok();
 }

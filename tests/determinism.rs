@@ -8,7 +8,7 @@
 //! compares raw `f64` bit patterns against the serial run.
 
 use tsc_mvg::datasets::archive::{generate_by_name_scaled, ArchiveOptions};
-use tsc_mvg::datasets::{DatasetSource, Split};
+use tsc_mvg::datasets::DatasetSource;
 use tsc_mvg::graph::motifs::{count_motifs_with, MotifWorkspace};
 use tsc_mvg::graph::visibility::{horizontal_visibility_graph, visibility_graph};
 use tsc_mvg::ml::forest::{RandomForest, RandomForestParams};
@@ -20,8 +20,8 @@ use tsc_mvg::ml::traits::Classifier;
 use tsc_mvg::ml::tree::{DecisionTree, DecisionTreeParams};
 use tsc_mvg::ml::{FeatureMatrix, GridSearch};
 use tsc_mvg::mvg::{
-    extract_dataset_features, extract_features_streaming, extract_series_features_traced,
-    ClassifierChoice, FeatureConfig, MvgClassifier, MvgConfig, NoopTraceSink,
+    extract_dataset_features, extract_series_features_traced, ClassifierChoice, FeatureConfig,
+    MvgClassifier, MvgConfig, NoopTraceSink,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
@@ -182,38 +182,6 @@ fn workspace_reuse_is_bit_identical_to_fresh_workspaces() {
         })
         .collect();
     assert_eq!(matrix_bits(&matrix), bits(&padded));
-}
-
-#[test]
-fn streaming_extraction_is_bit_identical_to_eager_across_thread_counts() {
-    // The streaming DatasetSource pipeline consumes a split chunk-wise
-    // without materialising it; neither the chunking nor the thread count
-    // may leak into features. Compare against the eager serial reference on
-    // raw f64 bit patterns for both splits.
-    let source = DatasetSource::synthetic(ArchiveOptions::bounded(10, 128, 5));
-    let resolved = source.resolve("BeetleFly").expect("catalogue dataset");
-    let config = FeatureConfig::mvg();
-    for (split, dataset) in [
-        (Split::Train, &resolved.train),
-        (Split::Test, &resolved.test),
-    ] {
-        let (eager, names) = extract_dataset_features(dataset, &config, 1);
-        for n_threads in THREAD_COUNTS {
-            let stream = source.open_split("BeetleFly", split).expect("stream");
-            assert_eq!(stream.n_instances(), dataset.len());
-            assert_eq!(stream.max_length(), dataset.max_length());
-            let streamed =
-                extract_features_streaming(stream, dataset.max_length(), &config, n_threads)
-                    .expect("streaming extraction");
-            assert_eq!(streamed.names, names);
-            assert_eq!(
-                matrix_bits(&streamed.features),
-                matrix_bits(&eager),
-                "split = {split:?}, n_threads = {n_threads}"
-            );
-            assert_eq!(streamed.labels, dataset.labels());
-        }
-    }
 }
 
 fn grid_with(n_threads: usize) -> GridSearch {
