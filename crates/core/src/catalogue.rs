@@ -29,6 +29,7 @@
 
 use crate::importance::FeatureImportance;
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 use tsg_ts::stats;
 
@@ -433,8 +434,19 @@ fn distribution(values: &[f64], var_floor: f64) -> Vec<f64> {
     let n = values.len() as f64;
     let mean = stats::mean(values);
     let var = stats::variance(values);
-    let q25 = stats::quantile(values, 0.25);
-    let q75 = stats::quantile(values, 0.75);
+    let [median, q05, q25, q75, q95] = SCRATCH.with(|scratch| {
+        let sorted = &mut scratch.borrow_mut().sorted;
+        sorted.clear();
+        sorted.extend_from_slice(values);
+        stats::sort_ascending(sorted);
+        [
+            stats::median_of_sorted(sorted),
+            stats::quantile_of_sorted(sorted, 0.05),
+            stats::quantile_of_sorted(sorted, 0.25),
+            stats::quantile_of_sorted(sorted, 0.75),
+            stats::quantile_of_sorted(sorted, 0.95),
+        ]
+    });
     let (skewness, kurtosis) = if var <= var_floor || values.is_empty() {
         (0.0, 0.0)
     } else {
@@ -447,12 +459,12 @@ fn distribution(values: &[f64], var_floor: f64) -> Vec<f64> {
         var.sqrt(),
         stats::min(values).unwrap_or(0.0),
         stats::max(values).unwrap_or(0.0),
-        stats::median(values),
+        median,
         q75 - q25,
-        stats::quantile(values, 0.05),
+        q05,
         q25,
         q75,
-        stats::quantile(values, 0.95),
+        q95,
         skewness,
         kurtosis,
         values.iter().map(|v| v * v).sum::<f64>(),
@@ -525,25 +537,70 @@ fn autocorrelation(values: &[f64], n_lags: usize, var_floor: f64) -> Vec<f64> {
 /// Magnitudes of DFT coefficients `1..=n_coefficients` (DC skipped),
 /// normalised by the series length, via a hand-rolled `O(n·k)` real-input
 /// DFT — no external FFT dependency, and `k` is small by construction.
+/// The twiddle factors come from the calling thread's table for this length.
 /// Coefficients at or beyond the series length are `0.0`.
 pub fn fft_magnitude_features(values: &[f64], n_coefficients: usize) -> Vec<f64> {
     let n = values.len();
-    let mut out = Vec::with_capacity(n_coefficients);
-    for k in 1..=n_coefficients {
-        if k >= n {
-            out.push(0.0);
-            continue;
+    let rows = n_coefficients.min(n.saturating_sub(1));
+    SCRATCH.with(|scratch| {
+        let dft = &mut scratch.borrow_mut().dft;
+        let twiddles = dft.rows(n, rows);
+        let mut out = Vec::with_capacity(n_coefficients);
+        for k in 1..=n_coefficients {
+            if k >= n {
+                out.push(0.0);
+                continue;
+            }
+            let (mut re, mut im) = (0.0f64, 0.0f64);
+            for (v, &(cos, sin)) in values.iter().zip(&twiddles[(k - 1) * n..k * n]) {
+                re += v * cos;
+                im += v * sin;
+            }
+            out.push((re * re + im * im).sqrt() / n as f64);
         }
-        let step = -2.0 * std::f64::consts::PI * k as f64 / n as f64;
-        let (mut re, mut im) = (0.0f64, 0.0f64);
-        for (t, v) in values.iter().enumerate() {
-            let angle = step * t as f64;
-            re += v * angle.cos();
-            im += v * angle.sin();
+        out
+    })
+}
+
+/// Per-thread scratch of the statistical layer, reused from series to
+/// series: a sorted copy of the series and the DFT table of the last length.
+#[derive(Default)]
+struct StatScratch {
+    sorted: Vec<f64>,
+    dft: DftTable,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<StatScratch> = RefCell::new(StatScratch::default());
+}
+
+/// `(cos, sin)` of `-2π·k·t/n` for one series length `n`: row `k - 1` is
+/// `twiddles[(k - 1)·n..k·n]`, over `t` in `0..n`.
+#[derive(Default)]
+struct DftTable {
+    n: usize,
+    rows: usize,
+    twiddles: Vec<(f64, f64)>,
+}
+
+impl DftTable {
+    /// The table for length `n` with at least `rows` rows, rebuilt (and the
+    /// table of another length released) when it has fewer.
+    fn rows(&mut self, n: usize, rows: usize) -> &[(f64, f64)] {
+        if self.n != n || self.rows < rows {
+            self.twiddles = Vec::with_capacity(n * rows);
+            for k in 1..=rows {
+                let step = -2.0 * std::f64::consts::PI * k as f64 / n as f64;
+                self.twiddles.extend((0..n).map(|t| {
+                    let angle = step * t as f64;
+                    (angle.cos(), angle.sin())
+                }));
+            }
+            self.n = n;
+            self.rows = rows;
         }
-        out.push((re * re + im * im).sqrt() / n as f64);
+        &self.twiddles
     }
-    out
 }
 
 /// An importance-chosen subset of the wide catalogue.

@@ -3,9 +3,10 @@
 //! Vertices are dense `0..n` indices (visibility graphs have one vertex per
 //! time step). Adjacency lives in two flat arrays — `offsets` (length
 //! `n + 1`) and `neighbors` (length `2m`, ascending within each vertex's
-//! slice) — built in one `O(n + m)` counting-sort pass from an edge buffer.
-//! This keeps construction allocation-light (three exact-size arrays, no
-//! per-vertex `Vec`s, no `O(d)` memmove per inserted edge), makes
+//! slice) — built from an edge buffer by one bucket fill by source, a sort of
+//! each short run and an in-place dedup. This keeps construction
+//! allocation-light (two exact-size arrays, no per-vertex `Vec`s, no `O(d)`
+//! memmove per inserted edge), makes
 //! `degree()` a subtraction of two offsets, and lays every neighborhood out
 //! contiguously for the cache-bound motif kernel.
 
@@ -46,7 +47,7 @@ impl Graph {
         Graph::from_edge_buffer(n, &buffer)
     }
 
-    /// Builds the CSR layout from a raw edge buffer in `O(n + m)`.
+    /// Builds the CSR layout from a raw edge buffer.
     ///
     /// This is the finalize step the visibility-graph builders use: they emit
     /// edges into a plain `Vec<(u32, u32)>` and hand it over once. Self-loops
@@ -54,85 +55,54 @@ impl Graph {
     /// endpoints of every edge must be `< n`.
     pub fn from_edge_buffer(n: usize, edges: &[(u32, u32)]) -> Self {
         let n32 = n as u32;
+        // `offsets[u]` counts u's arcs, then becomes the end of u's run
+        let mut offsets = vec![0u32; n + 1];
         for &(u, v) in edges {
             assert!(
                 u < n32 && v < n32,
                 "edge ({u}, {v}) out of range for {n} vertices"
             );
+            if u != v {
+                offsets[u as usize] += 1;
+                offsets[v as usize] += 1;
+            }
         }
-        // Two-pass counting sort of the 2m directed arcs by (src, dst):
-        // pass 1 buckets by dst, pass 2 stably re-buckets by src, leaving
-        // each vertex's neighbor run sorted ascending.
-        let n_arcs = edges
-            .iter()
-            .filter(|&&(u, v)| u != v)
-            .count()
-            .checked_mul(2)
-            .expect("arc count overflow");
-        let mut by_dst: Vec<(u32, u32)> = Vec::with_capacity(n_arcs);
-        let mut counts = vec![0u32; n + 1];
+        for i in 1..=n {
+            offsets[i] += offsets[i - 1];
+        }
+        // one bucket fill by source, stepping each end back to its start
+        let mut neighbors = vec![0u32; offsets[n] as usize];
         for &(u, v) in edges {
             if u != v {
-                counts[v as usize + 1] += 1;
-                counts[u as usize + 1] += 1;
+                offsets[u as usize] -= 1;
+                neighbors[offsets[u as usize] as usize] = v;
+                offsets[v as usize] -= 1;
+                neighbors[offsets[v as usize] as usize] = u;
             }
         }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        // SAFETY-free bucket fill: write positions come from the prefix sums
-        by_dst.resize(n_arcs, (0, 0));
-        {
-            let mut cursor = counts.clone();
-            for &(u, v) in edges {
-                if u != v {
-                    let slot = cursor[v as usize];
-                    cursor[v as usize] += 1;
-                    by_dst[slot as usize] = (u, v);
-                    let slot = cursor[u as usize];
-                    cursor[u as usize] += 1;
-                    by_dst[slot as usize] = (v, u);
+        // sort each short run and drop its repeats, compacting in place
+        let mut read = 0;
+        let mut write = 0;
+        for u in 0..n {
+            let end = offsets[u + 1] as usize;
+            neighbors[read..end].sort_unstable();
+            let start = write;
+            offsets[u] = start as u32;
+            for i in read..end {
+                let x = neighbors[i];
+                if write == start || neighbors[write - 1] != x {
+                    neighbors[write] = x;
+                    write += 1;
                 }
             }
+            read = end;
         }
-        // pass 2: stable bucket by src, so dst order from pass 1 is preserved
-        let mut src_counts = vec![0u32; n + 1];
-        for &(src, _) in &by_dst {
-            src_counts[src as usize + 1] += 1;
-        }
-        for i in 0..n {
-            src_counts[i + 1] += src_counts[i];
-        }
-        let mut sorted: Vec<(u32, u32)> = vec![(0, 0); n_arcs];
-        {
-            let mut cursor = src_counts.clone();
-            for &(src, dst) in &by_dst {
-                let slot = cursor[src as usize];
-                cursor[src as usize] += 1;
-                sorted[slot as usize] = (src, dst);
-            }
-        }
-        // compact: drop consecutive duplicate (src, dst) arcs while building
-        // the final offsets/neighbors arrays
-        let mut offsets = vec![0u32; n + 1];
-        let mut neighbors: Vec<u32> = Vec::with_capacity(n_arcs);
-        let mut previous: Option<(u32, u32)> = None;
-        for &(src, dst) in &sorted {
-            if previous == Some((src, dst)) {
-                continue;
-            }
-            previous = Some((src, dst));
-            offsets[src as usize + 1] += 1;
-            neighbors.push(dst);
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let n_edges = neighbors.len() / 2;
+        offsets[n] = write as u32;
+        neighbors.truncate(write);
         Graph {
             offsets,
             neighbors,
-            n_edges,
+            n_edges: write / 2,
         }
     }
 

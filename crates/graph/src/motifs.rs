@@ -8,7 +8,10 @@
 //! the remaining connected types through combinatorial identities on degrees
 //! and wedge/path counts, and recover all disconnected types (and therefore
 //! the complete distribution) in closed form. This module follows that
-//! strategy; a brute-force enumerator over all subsets is kept for tests.
+//! strategy with one sweep over the oriented wedges of a rank-relabelled
+//! graph: each scan of a neighbor list serves the triangle, 4-clique and
+//! 4-cycle counts at once (see [`count_motifs_with`]). A brute-force
+//! enumerator over all subsets is kept for tests.
 
 use crate::graph::Graph;
 use std::cell::RefCell;
@@ -287,17 +290,22 @@ pub struct MotifWorkspace {
     ordered: Vec<u32>,
     /// Reusable output buffer of [`MotifWorkspace::common_neighbors`].
     common: Vec<u32>,
-    /// Degree-ascending rank (ties by index): a degeneracy-style order that
-    /// points every edge at its higher-degree endpoint.
+    /// Degree-ascending rank of each input vertex (ties by index), and its
+    /// inverse: `order[rank[v]] == v`.
     rank: Vec<u32>,
-    /// CSR of the rank-increasing orientation (`out_neighbors[out_offsets[v]..
-    /// out_offsets[v + 1]]` are the neighbors of `v` ranked above it).
-    out_offsets: Vec<u32>,
-    out_neighbors: Vec<u32>,
+    order: Vec<u32>,
+    /// The graph relabelled by rank, as CSR: `adj[offsets[v]..offsets[v + 1]]`
+    /// are the neighbors of ranked vertex `v`, ascending. `above[v]` splits
+    /// that run: neighbors ranked below `v` come before it, neighbors ranked
+    /// above it (the rank-increasing orientation) from it on.
+    offsets: Vec<u32>,
+    above: Vec<u32>,
+    adj: Vec<u32>,
     /// Wedge co-degree accumulator + touched list for 4-cycle counting.
     codeg: Vec<u32>,
     touched: Vec<u32>,
-    /// Counting-sort scratch for rank construction.
+    /// Counting-sort scratch for the rank, then the fill cursor of the
+    /// relabelled CSR.
     buckets: Vec<u32>,
 }
 
@@ -323,8 +331,11 @@ impl MotifWorkspace {
         }
     }
 
-    /// Computes the degree-ascending rank (ties broken by vertex index) and
-    /// the CSR of the rank-increasing orientation.
+    /// Relabels `graph` by degree-ascending rank (ties broken by vertex
+    /// index) into the workspace CSR. Ranked vertices are appended to their
+    /// neighbors' runs in ascending order, so every run comes out sorted
+    /// with no sort step, and the split `above[v]` is where the fill cursor
+    /// of `v` stands when `v` itself is reached.
     fn prepare_order(&mut self, graph: &Graph) {
         let n = graph.n_vertices();
         // counting sort over degrees; `buckets[d]` becomes the next rank to
@@ -342,30 +353,45 @@ impl MotifWorkspace {
         }
         self.rank.clear();
         self.rank.resize(n, 0);
+        self.order.clear();
+        self.order.resize(n, 0);
         for v in 0..n {
             let d = graph.degree(v);
-            self.rank[v] = self.buckets[d];
+            let r = self.buckets[d];
+            self.rank[v] = r;
+            self.order[r as usize] = v as u32;
             self.buckets[d] += 1;
         }
-        // orientation CSR: per vertex, the neighbors ranked above it, in
-        // ascending index order (deterministic)
-        self.out_offsets.clear();
-        self.out_offsets.resize(n + 1, 0);
-        self.out_neighbors.clear();
-        for v in 0..n {
-            self.out_offsets[v] = self.out_neighbors.len() as u32;
-            let rv = self.rank[v];
-            for &w in graph.neighbors(v) {
-                if self.rank[w as usize] > rv {
-                    self.out_neighbors.push(w);
-                }
+        // run starts of the relabelled CSR; `buckets` becomes the cursor
+        self.offsets.clear();
+        self.offsets.resize(n + 1, 0);
+        self.buckets.clear();
+        self.buckets.resize(n, 0);
+        let mut start = 0u32;
+        for (r, &v) in self.order.iter().enumerate() {
+            self.offsets[r] = start;
+            self.buckets[r] = start;
+            start += graph.degree(v as usize) as u32;
+        }
+        self.offsets[n] = start;
+        self.adj.clear();
+        self.adj.resize(start as usize, 0);
+        self.above.clear();
+        self.above.resize(n, 0);
+        for x in 0..n {
+            // every neighbor ranked below `x` was appended before it
+            self.above[x] = self.buckets[x];
+            for &w in graph.neighbors(self.order[x] as usize) {
+                let y = self.rank[w as usize] as usize;
+                self.adj[self.buckets[y] as usize] = x as u32;
+                self.buckets[y] += 1;
             }
         }
-        self.out_offsets[n] = self.out_neighbors.len() as u32;
     }
 
-    fn out_neighbors(&self, v: usize) -> &[u32] {
-        &self.out_neighbors[self.out_offsets[v] as usize..self.out_offsets[v + 1] as usize]
+    /// Degree of ranked vertex `v`.
+    fn degree(&self, v: usize) -> u64 {
+        (self.offsets[v + 1] - self.offsets[v]) as u64
     }
 
     /// Common neighbors of `u` and `v` via the epoch-stamped marker array —
@@ -405,21 +431,27 @@ pub fn count_motifs(graph: &Graph) -> MotifCounts {
 /// caller-held workspace. Allocation-free after workspace warm-up.
 ///
 /// Edge-centric and degree-ordered, in the spirit of PGD (Ahmed et al.,
-/// ICDM 2015): every edge is processed once from its higher-ranked endpoint
-/// (rank = degree ascending, ties by index), whose neighborhood is marked
-/// once and shared by all of that vertex's edges. Per edge this yields the
-/// triangle count `t_e` and the paw attachment sum in `O(d_lower)` after the
-/// amortised marking; 4-cliques are found once each as adjacent pairs inside
-/// the rank-filtered common neighborhood (scanning only rank-increasing
-/// out-neighbors, so each K4 is discovered exactly once from its two
-/// lowest-ranked vertices); diamonds follow in closed form from
-/// `Σ_e C(t_e, 2) = diamonds + 6·K4`. Non-induced 4-cycles are counted once
-/// each by rank-filtered wedge co-degrees (Chiba–Nishizeki style), and every
-/// remaining motif — connected and disconnected — falls out of combinatorial
-/// identities on `n`, `m`, degrees and the exact counts above. Total work is
-/// `O(n + Σ_e d_lower(e))` ≈ `O(m·α)` for degeneracy `α`, instead of the
-/// previous `O(Σ_e (d_u + d_v + Σ_{w ∈ tri(e)} d_w))` with a `Vec` allocated
-/// per edge.
+/// ICDM 2015), in one sweep over a rank-relabelled CSR. The graph is first
+/// relabelled by rank (degree ascending, ties by index), so each sorted
+/// neighbor list splits into the neighbors ranked below a vertex and the
+/// rank-increasing orientation above it. Every edge (u, v) with `v < u` is
+/// then processed once from u, whose neighborhood is marked once for all of
+/// its edges, and one scan of N(v) serves two counts:
+///
+/// * against the marked N(u) it yields the triangle count `t_e` and the paw
+///   attachment sum; common neighbors above u are collected, and 4-cliques
+///   are found once each as adjacent pairs among them (probing only the
+///   above-runs, so each K4 is discovered exactly once from its two lowest
+///   vertices); diamonds follow in closed form from
+///   `Σ_e C(t_e, 2) = diamonds + 6·K4`;
+/// * its prefix below u adds to the wedge co-degrees of u, and
+///   `Σ C(codeg, 2)`, flushed after each u, counts every non-induced
+///   4-cycle once, at its highest vertex (Chiba–Nishizeki's order as a
+///   rank filter).
+///
+/// Every remaining motif — connected and disconnected — falls out of
+/// combinatorial identities on `n`, `m`, degrees and the exact counts above.
+/// Total work is `O(n + m + Σ_e d_lower(e))` ≈ `O(m·α)` for degeneracy `α`.
 pub fn count_motifs_with(graph: &Graph, ws: &mut MotifWorkspace) -> MotifCounts {
     let nv = graph.n_vertices();
     let n = nv as u64;
@@ -437,65 +469,80 @@ pub fn count_motifs_with(graph: &Graph, ws: &mut MotifWorkspace) -> MotifCounts 
 
     ws.prepare_markers(nv, graph.n_edges());
     ws.prepare_order(graph);
+    ws.codeg.clear();
+    ws.codeg.resize(nv, 0);
+    ws.touched.clear();
 
-    // --- edge-centric exact counts -------------------------------------
-    // triangles, 4-cliques, Σ C(t_e, 2) and the "non-induced paw" sum
+    // --- one sweep over the oriented wedges -------------------------------
+    // Vertex ids are ranks from here on, so "ranked below u" is `v < u`.
     let mut triangle_x3 = 0u64; // 3 * #triangles (each edge contributes t_e)
     let mut clique4 = 0u64; // exact K4s (counted once each)
     let mut sum_ct2 = 0u64; // Σ_e C(t_e, 2) = diamonds + 6 * K4
     let mut nonind_paw = 0u64; // Σ_triangles (d_a + d_b + d_c - 6)
     let mut nonind_p4_pairs = 0u64; // Σ_e (d_u - 1)(d_v - 1)
+    let mut nonind_c4 = 0u64; // non-induced 4-cycles (counted once each)
     for u in 0..nv {
-        let ru = ws.rank[u];
-        let du = graph.degree(u) as u64;
-        // mark N(u) lazily: only vertices that own at least one edge (their
-        // rank exceeds a neighbor's) pay the marking cost, and they pay it
-        // once for all of their edges
-        let mut marked = false;
-        for &v in graph.neighbors(u) {
-            let v = v as usize;
-            if ws.rank[v] >= ru {
-                continue; // edge handled from its higher-ranked endpoint
-            }
-            if !marked {
-                ws.epoch += 1;
-                for &x in graph.neighbors(u) {
-                    ws.marker[x as usize] = ws.epoch;
-                }
-                marked = true;
-            }
-            let dv = graph.degree(v) as u64;
-            nonind_p4_pairs += (du - 1) * (dv - 1);
-            // common neighborhood of the edge (u, v): scan the lower-degree
-            // endpoint's list against the marked one
+        let (first, above) = (ws.offsets[u] as usize, ws.above[u] as usize);
+        if first == above {
+            continue; // no neighbor ranked below: u owns no edge and no wedge
+        }
+        let last = ws.offsets[u + 1] as usize;
+        let du = (last - first) as u64;
+        // mark N(u) once for all of its edges
+        ws.epoch += 1;
+        for &x in &ws.adj[first..last] {
+            ws.marker[x as usize] = ws.epoch;
+        }
+        for i in first..above {
+            let v = ws.adj[i] as usize;
+            let (v_first, v_last) = (ws.offsets[v] as usize, ws.offsets[v + 1] as usize);
+            nonind_p4_pairs += (du - 1) * ((v_last - v_first) as u64 - 1);
+            // scan N(v), ascending, against the marked N(u): the common
+            // neighborhood of the edge (u, v) gives the triangle count t_e,
+            // and every w < u closes a wedge u–v–w for the 4-cycle co-degrees
             let mut t_e = 0u64;
             ws.ordered.clear();
-            for &w in graph.neighbors(v) {
+            let mut rest = ws.adj[v_first..v_last].iter();
+            // u ∈ N(v), so the first w ≥ u is u itself, consumed by the break
+            for &w in rest.by_ref() {
                 let w = w as usize;
+                if w >= u {
+                    break;
+                }
+                if ws.codeg[w] == 0 {
+                    ws.touched.push(w as u32);
+                }
+                ws.codeg[w] += 1;
                 if ws.marker[w] == ws.epoch {
                     t_e += 1;
                     // every triangle is seen by its 3 edges once each, so the
                     // third-vertex contributions sum to Σ (d - 2) per triangle
-                    nonind_paw += graph.degree(w) as u64 - 2;
-                    if ws.rank[w] > ru {
-                        ws.ordered.push(w as u32);
-                    }
+                    nonind_paw += ws.degree(w) - 2;
+                }
+            }
+            for &w in rest {
+                if ws.marker[w as usize] == ws.epoch {
+                    t_e += 1;
+                    nonind_paw += ws.degree(w as usize) - 2;
+                    ws.ordered.push(w);
                 }
             }
             triangle_x3 += t_e;
             sum_ct2 += choose2(t_e);
-            // K4 {a,b,c,d} with rank a < b < c < d is found exactly once:
-            // from edge (a, b), as the adjacent pair {c, d} of its
-            // rank-above-both common neighborhood. Adjacency inside that set
-            // is tested by scanning rank-increasing out-neighbors only, so
-            // each pair is probed from its lower-ranked member once.
+            // K4 {a,b,c,d} with a < b < c < d is found exactly once: from
+            // edge (b, a), as the adjacent pair {c, d} of its above-both
+            // common neighborhood. Adjacency inside that set is tested by
+            // scanning the above-run of each member only, so each pair is
+            // probed from its lower member once.
             if ws.ordered.len() >= 2 {
                 ws.epoch2 += 1;
                 for &w in &ws.ordered {
                     ws.marker2[w as usize] = ws.epoch2;
                 }
                 for &w in &ws.ordered {
-                    for &x in ws.out_neighbors(w as usize) {
+                    let w = w as usize;
+                    let up = &ws.adj[ws.above[w] as usize..ws.offsets[w + 1] as usize];
+                    for &x in up {
                         if ws.marker2[x as usize] == ws.epoch2 {
                             clique4 += 1;
                         }
@@ -503,48 +550,21 @@ pub fn count_motifs_with(graph: &Graph, ws: &mut MotifWorkspace) -> MotifCounts 
                 }
             }
         }
+        // Every non-induced 4-cycle is counted exactly once, at its
+        // highest-ranked vertex u: both wedge midpoints and the opposite
+        // corner rank below u, so C(codeg, 2) is 1 there and 0 at the other
+        // three corners (Chiba–Nishizeki's order as a rank filter).
+        for &w in &ws.touched {
+            nonind_c4 += choose2(ws.codeg[w as usize] as u64);
+            ws.codeg[w as usize] = 0;
+        }
+        ws.touched.clear();
     }
     let triangle = triangle_x3 / 3;
     // Σ_e C(t_e, 2) classifies each common-neighbor pair {w, x} of an edge:
     // adjacent pairs close a K4 (6 such pairs per K4, one per edge),
     // non-adjacent pairs witness a diamond via its chord (1 per diamond).
     let diamond = sum_ct2 - 6 * clique4;
-
-    // --- rank-filtered wedge enumeration for 4-cycles --------------------
-    // Every non-induced 4-cycle is counted exactly once, at its
-    // highest-ranked vertex u: both wedge midpoints and the opposite corner
-    // rank below u, so the codegree accumulation filtered to rank < rank(u)
-    // sees C(codeg, 2) = 1 there and 0 at the other three corners
-    // (Chiba–Nishizeki processing order expressed as a rank filter).
-    let mut nonind_c4 = 0u64;
-    {
-        ws.codeg.clear();
-        ws.codeg.resize(nv, 0);
-        ws.touched.clear();
-        for u in 0..nv {
-            let ru = ws.rank[u];
-            for &w in graph.neighbors(u) {
-                let w = w as usize;
-                if ws.rank[w] >= ru {
-                    continue;
-                }
-                for &v in graph.neighbors(w) {
-                    let v = v as usize;
-                    if v != u && ws.rank[v] < ru {
-                        if ws.codeg[v] == 0 {
-                            ws.touched.push(v as u32);
-                        }
-                        ws.codeg[v] += 1;
-                    }
-                }
-            }
-            for &v in &ws.touched {
-                nonind_c4 += choose2(ws.codeg[v as usize] as u64);
-                ws.codeg[v as usize] = 0;
-            }
-            ws.touched.clear();
-        }
-    }
 
     // --- induced connected counts via identities ------------------------
     // non-induced 4-paths: subtract the w == x degenerate case (3 per triangle)
@@ -914,8 +934,9 @@ mod tests {
     #[test]
     fn reused_workspace_matches_fresh_workspace() {
         // one workspace across many graphs of varying size == a fresh
-        // workspace per graph, bit for bit
-        let graphs: Vec<Graph> = vec![
+        // workspace per graph, bit for bit; the tail grows from nothing to
+        // 500 vertices and shrinks back to 40
+        let mut graphs: Vec<Graph> = vec![
             star(9),
             visibility_graph(&pseudo_series(3, 50)),
             clique(7),
@@ -924,12 +945,19 @@ mod tests {
             Graph::new(0),
             visibility_graph(&pseudo_series(5, 64)),
         ];
+        for n in [0, 1, 2, 3, 500, 40] {
+            let values = pseudo_series(n as u64 + 11, n);
+            graphs.push(visibility_graph(&values));
+            graphs.push(horizontal_visibility_graph(&values));
+        }
         let mut reused = MotifWorkspace::new();
         for g in &graphs {
             let with_reuse = count_motifs_with(g, &mut reused);
             let with_fresh = count_motifs_with(g, &mut MotifWorkspace::new());
             assert_eq!(with_reuse, with_fresh);
-            assert_eq!(with_reuse, count_motifs_bruteforce(g));
+            if g.n_vertices() <= 64 {
+                assert_eq!(with_reuse, count_motifs_bruteforce(g));
+            }
         }
     }
 

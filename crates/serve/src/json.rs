@@ -446,37 +446,70 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
+    /// A number in RFC 8259's grammar: `-? (0 | [1-9][0-9]*) (. [0-9]+)?
+    /// ([eE] [+-]? [0-9]+)?`, finite once parsed.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                if matches!(self.peek(), Some(b'0'..=b'9')) {
+                    return Err(self.number_error(start, "leading zero in number"));
+                }
+            }
+            Some(b'1'..=b'9') => self.digits(),
+            _ => return Err(self.number_error(start, "expected a digit in number")),
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.number_error(start, "expected a digit after `.` in number"));
             }
+            self.digits();
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.number_error(start, "expected a digit in exponent of number"));
             }
+            self.digits();
         }
+        // the grammar admits only ASCII, so the slice is valid UTF-8
         let text = self
             .bytes
             .get(start..self.pos)
             .and_then(|digits| std::str::from_utf8(digits).ok())
             .ok_or_else(|| self.error("invalid number"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.error(format!("invalid number `{text}`")))
+        match text.parse::<f64>() {
+            Ok(value) if value.is_finite() => Ok(Json::Num(value)),
+            Ok(_) => Err(self.error(format!("number `{text}` is out of range"))),
+            Err(_) => Err(self.error(format!("invalid number `{text}`"))),
+        }
+    }
+
+    fn digits(&mut self) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+    }
+
+    /// An error naming the number-like text that starts at `start`.
+    fn number_error(&self, start: usize, message: &str) -> JsonError {
+        let text: String = self
+            .bytes
+            .get(start..)
+            .unwrap_or(&[])
+            .iter()
+            .take_while(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+            .map(|&b| b as char)
+            .collect();
+        self.error(format!("{message} `{text}`"))
     }
 }
 

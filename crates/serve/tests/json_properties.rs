@@ -7,8 +7,10 @@
 //!   characters, escapes and non-ASCII text; nesting reaches the parser's
 //!   depth limit and one level past it, which must be rejected.
 //! * Random bytes, and valid documents with random bytes changed, never
-//!   panic the parser: it returns `Ok` or `Err`, and what it accepts writes
-//!   out to a document it accepts again.
+//!   panic the parser: it returns `Ok` or `Err`, what it accepts holds only
+//!   finite numbers and writes out to a document it accepts again.
+//! * A number is accepted exactly when it follows RFC 8259's grammar and
+//!   parses to a finite value; a rejected one is named in the error.
 
 use proptest::prelude::*;
 use tsg_faults::splitmix64;
@@ -167,18 +169,89 @@ fn all_finite(value: &Json) -> bool {
 /// back to it.
 fn parse_checked(text: &str) -> Result<(), TestCaseError> {
     if let Ok(value) = Json::parse(text) {
+        prop_assert!(
+            all_finite(&value),
+            "accepted a non-finite number in {:?}",
+            text
+        );
         let again = Json::parse(&value.write());
         prop_assert!(again.is_ok(), "rewrite of {:?} rejected: {:?}", text, again);
-        if all_finite(&value) {
-            prop_assert!(
-                same(&again.unwrap(), &value),
-                "rewrite of {:?} differs",
-                text
-            );
-        }
+        prop_assert!(
+            same(&again.unwrap(), &value),
+            "rewrite of {:?} differs",
+            text
+        );
     }
     Ok(())
 }
+
+/// Whether `text` is a number in RFC 8259's grammar:
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+fn in_number_grammar(text: &str) -> bool {
+    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    let body = text.strip_prefix('-').unwrap_or(text);
+    let (mantissa, exponent) = match body.split_once(['e', 'E']) {
+        Some((mantissa, exponent)) => (mantissa, Some(exponent)),
+        None => (body, None),
+    };
+    let (int, frac) = match mantissa.split_once('.') {
+        Some((int, frac)) => (int, Some(frac)),
+        None => (mantissa, None),
+    };
+    digits(int)
+        && (int == "0" || !int.starts_with('0'))
+        && frac.is_none_or(digits)
+        && exponent.is_none_or(|e| digits(e.strip_prefix(['+', '-']).unwrap_or(e)))
+}
+
+#[test]
+fn numbers_outside_the_grammar_are_rejected_by_name() {
+    for text in [
+        "-", "-.5", "01", "-01", "00", "1.", "1.e5", "-1.", "1e", "1e+", "1E-", "--1",
+    ] {
+        let err = Json::parse(text).expect_err(text).to_string();
+        assert!(err.contains(&format!("`{text}`")), "{text}: {err}");
+        let err = Json::parse(&format!("[{text}]"))
+            .expect_err(text)
+            .to_string();
+        assert!(err.contains(&format!("`{text}`")), "[{text}]: {err}");
+    }
+    // not a number at all, or a number followed by more characters
+    for text in [".5", "+1", "1.5.2", "1e5e5", "0x10"] {
+        assert!(Json::parse(text).is_err(), "{text} accepted");
+    }
+    for text in ["1e400", "-1e400", "1e309", "179769313486231580793728971405303415079934132710037826936173778980444968292764750946649017977587207096330286416692887910946555547851940402630657488671505820681908902000708383676273854845817711531764475730270069855571366959622842914819860834936475292719074168444365510704342711559699508093042880177904174497792"] {
+        let err = Json::parse(text).expect_err(text).to_string();
+        assert!(err.contains("out of range") && err.contains(text), "{text}: {err}");
+    }
+}
+
+#[test]
+fn numbers_in_the_grammar_are_accepted() {
+    for (text, value) in [
+        ("0", 0.0),
+        ("-0", -0.0),
+        ("0.5", 0.5),
+        ("-0.5e1", -5.0),
+        ("10", 10.0),
+        ("1E2", 100.0),
+        ("1e+2", 100.0),
+        ("25e-1", 2.5),
+        ("0e0", 0.0),
+        ("1e-400", 0.0),
+        ("1.7976931348623157e308", f64::MAX),
+    ] {
+        let parsed = Json::parse(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+        assert_eq!(
+            parsed.as_f64().map(f64::to_bits),
+            Some(value.to_bits()),
+            "{text}"
+        );
+    }
+}
+
+/// Characters of numbers, weighted towards the ones the grammar turns on.
+const NUMBER_ALPHABET: &[u8] = b"0000123456789--+..eE";
 
 /// Bytes that steer random input into the parser's states.
 const ALPHABET: &[u8] = b"[]{}\",:\\/ubfnrt0123456789+-.eEaxl \t\n\r\x00\x1f\x7f\xc3\xa9\xf0\x9f";
@@ -213,6 +286,21 @@ proptest! {
         parse_checked(&String::from_utf8_lossy(&bytes))?;
         let soup: Vec<u8> = soup.into_iter().map(|i| ALPHABET[i]).collect();
         parse_checked(&String::from_utf8_lossy(&soup))?;
+    }
+
+    #[test]
+    fn numbers_parse_exactly_when_in_the_grammar(
+        pieces in prop::collection::vec(0usize..NUMBER_ALPHABET.len(), 1..12),
+    ) {
+        let text: String = pieces.into_iter().map(|i| NUMBER_ALPHABET[i] as char).collect();
+        let finite = text.parse::<f64>().is_ok_and(f64::is_finite);
+        let expected = in_number_grammar(&text) && finite;
+        let parsed = Json::parse(&text);
+        prop_assert!(parsed.is_ok() == expected, "{:?} gave {:?}", text, parsed);
+        if let Ok(value) = parsed {
+            let exact = text.parse::<f64>().ok().map(f64::to_bits);
+            prop_assert!(value.as_f64().map(f64::to_bits) == exact, "{:?} parsed inexactly", text);
+        }
     }
 
     #[test]

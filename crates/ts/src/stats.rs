@@ -57,28 +57,39 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     num / (dx.sqrt() * dy.sqrt())
 }
 
-/// Median of a slice (average of the two middle elements for even lengths).
-pub fn median(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+/// Sorts a slice ascending in place (a stable sort; NaN compares equal to
+/// everything), ready for [`median_of_sorted`] and [`quantile_of_sorted`].
+pub fn sort_ascending(xs: &mut [f64]) {
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+}
+
+/// Median of an ascending slice (average of the two middle elements for
+/// even lengths); `0.0` when empty.
+pub fn median_of_sorted(sorted: &[f64]) -> f64 {
     let n = sorted.len();
-    if n % 2 == 1 {
+    if n == 0 {
+        0.0
+    } else if n % 2 == 1 {
         sorted[n / 2]
     } else {
         0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
     }
 }
 
-/// Linear interpolation quantile (`q` in `[0, 1]`) of a slice.
+/// Linear interpolation quantile (`q` in `[0, 1]`) of a slice, from a
+/// sorted copy; `0.0` when empty.
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
-    if xs.is_empty() {
+    let mut sorted = xs.to_vec();
+    sort_ascending(&mut sorted);
+    quantile_of_sorted(&sorted, q)
+}
+
+/// Linear interpolation quantile (`q` in `[0, 1]`) of an ascending slice;
+/// `0.0` when empty.
+pub fn quantile_of_sorted(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
         return 0.0;
     }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let q = q.clamp(0.0, 1.0);
     let pos = q * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
@@ -131,6 +142,11 @@ mod tests {
 
     #[test]
     fn median_odd_even() {
+        let median = |xs: &[f64]| {
+            let mut sorted = xs.to_vec();
+            sort_ascending(&mut sorted);
+            median_of_sorted(&sorted)
+        };
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(median(&[]), 0.0);
@@ -138,10 +154,11 @@ mod tests {
 
     #[test]
     fn quantiles() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
+        let xs = [4.0, 1.0, 5.0, 3.0, 2.0];
         assert_eq!(quantile(&xs, 0.0), 1.0);
         assert_eq!(quantile(&xs, 1.0), 5.0);
         assert_eq!(quantile(&xs, 0.5), 3.0);
         assert!((quantile(&xs, 0.25) - 2.0).abs() < 1e-12);
+        assert_eq!(quantile(&[], 0.5), 0.0);
     }
 }
