@@ -318,13 +318,8 @@ pub fn extract_series_features(series: &TimeSeries, config: &FeatureConfig) -> V
         config,
         layout.as_deref(),
         &mut NoopTraceSink,
-        census,
+        count_motifs,
     )
-}
-
-/// The motif census on the calling thread's workspace, untraced.
-fn census(graph: &Graph, _: &mut NoopTraceSink) -> MotifCounts {
-    count_motifs(graph)
 }
 
 /// [`extract_series_features`] with a caller-held motif workspace (the
@@ -354,11 +349,8 @@ pub(crate) fn extract_row_traced<S: TraceSink>(
     workspace: &mut MotifWorkspace,
     sink: &mut S,
 ) -> Vec<f64> {
-    extract_features_impl(series, config, layout, sink, |graph, sink| {
-        sink.enter(ExtractStage::MotifCount);
-        let counts = count_motifs_with(graph, workspace);
-        sink.exit(ExtractStage::MotifCount);
-        counts
+    extract_features_impl(series, config, layout, sink, |graph| {
+        count_motifs_with(graph, workspace)
     })
 }
 
@@ -373,7 +365,7 @@ fn extract_features_impl<S: TraceSink>(
     config: &FeatureConfig,
     layout: Option<&RowLayout>,
     sink: &mut S,
-    mut census: impl FnMut(&Graph, &mut S) -> MotifCounts,
+    mut census: impl FnMut(&Graph) -> MotifCounts,
 ) -> Vec<f64> {
     let prepared;
     let series = if config.detrend {
@@ -412,13 +404,16 @@ fn extract_features_impl<S: TraceSink>(
         sink.enter(ExtractStage::GraphBuild);
         let graph = kind.build(values);
         sink.exit(ExtractStage::GraphBuild);
+        // the graph features: the motif census and the graph statistics
+        sink.enter(ExtractStage::MotifCount);
         let (motif_out, stats_out) = out.split_at_mut(N_MOTIF_FEATURES);
         if need_motifs {
-            motif_out.copy_from_slice(&motif_probability_distribution(&census(&graph, sink)));
+            motif_out.copy_from_slice(&motif_probability_distribution(&census(&graph)));
         }
         if need_stats {
             stats_out.copy_from_slice(&GraphStatistics::compute(&graph).to_features());
         }
+        sink.exit(ExtractStage::MotifCount);
     }
 
     if stat_needed.contains(&true) {
@@ -465,7 +460,13 @@ pub(crate) fn extract_rows(
     n_threads: usize,
 ) -> Vec<Vec<f64>> {
     parallel_map(series, n_threads, |series| {
-        extract_features_impl(series, config, Some(layout), &mut NoopTraceSink, census)
+        extract_features_impl(
+            series,
+            config,
+            Some(layout),
+            &mut NoopTraceSink,
+            count_motifs,
+        )
     })
 }
 

@@ -3,7 +3,7 @@
 //! `tsg_core` is a deterministic crate: the analyzer's `det-time` and
 //! `clock-discipline` rules forbid it from reading any clock. Yet the
 //! serving layer needs to know where extraction time goes (scale build vs
-//! graph build vs motif census). The seam is a [`TraceSink`] trait the
+//! graph build vs graph features). The seam is a [`TraceSink`] trait the
 //! extraction entry points thread through their stages: the *callbacks*
 //! live here, the *clocks* live in the caller (`tsg_serve`, via
 //! `tsg_trace`). The default methods are `#[inline(always)]` no-ops, so
@@ -18,7 +18,8 @@ pub enum ExtractStage {
     Scale,
     /// Visibility-graph construction (all scales × kinds).
     GraphBuild,
-    /// Motif census over one built graph.
+    /// Graph features over one built graph: the motif census and the graph
+    /// statistics (degrees, k-core, assortativity).
     MotifCount,
     /// The per-series statistical layer of the catalogue (quantiles,
     /// trend, peaks, autocorrelation, DFT magnitudes).
@@ -94,8 +95,8 @@ mod tests {
         }
         assert!(open.is_none());
 
-        // MVG on 128 points: one scale build, one graph build + motif
-        // census per (scale × kind) graph
+        // MVG on 128 points: one scale build, one graph build + graph
+        // features per (scale × kind) graph
         let enters = |s: ExtractStage| {
             sink.events
                 .iter()

@@ -2,11 +2,12 @@
 //!
 //! Concurrent `POST /models/{name}/classify` requests — for *any* registered
 //! model — land in one bounded queue served by a single dispatcher thread.
-//! The dispatcher coalesces them per model: it waits until either
-//! [`BatchConfig::max_batch`] series have accumulated or
-//! [`BatchConfig::max_wait`] has elapsed since the oldest queued request,
-//! then takes the front request's model and collects every queued request
-//! for that same model into one batch. Features are extracted for the whole
+//! The dispatcher is work-conserving: as soon as it is free, it takes the
+//! front request's model and collects every queued request for that same
+//! model, up to [`BatchConfig::max_batch`] series, into one batch. It never
+//! waits for more requests to arrive; requests that arrive while a batch
+//! computes queue up, and the next batch takes them all, so batches grow
+//! with load on their own. Features are extracted for the whole
 //! batch on the shared [`tsg_parallel::ThreadPool`] — each worker checking
 //! one warmed-up [`MotifWorkspace`] out of a cross-batch pool and driving
 //! [`MvgClassifier::extract_row_traced`] with it (a `StageTimer` sink for
@@ -40,7 +41,7 @@ use crate::metrics::ServerMetrics;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tsg_core::{ExtractStage, MvgClassifier, NoopTraceSink, TraceSink};
 use tsg_graph::motifs::MotifWorkspace;
 use tsg_parallel::ThreadPool;
@@ -52,8 +53,6 @@ use tsg_ts::TimeSeries;
 pub struct BatchConfig {
     /// Maximum series per dispatched batch.
     pub max_batch: usize,
-    /// How long the oldest queued request may wait for co-batching.
-    pub max_wait: Duration,
     /// Maximum queued series before new requests are rejected with 429.
     pub queue_depth: usize,
 }
@@ -62,7 +61,6 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             max_batch: 32,
-            max_wait: Duration::from_millis(2),
             queue_depth: 256,
         }
     }
@@ -125,8 +123,8 @@ struct Job {
     series: Vec<TimeSeries>,
     want_proba: bool,
     /// The request's trace, when the caller is tracing; spans recorded here
-    /// from the dispatcher cover queue wait, coalescing, extraction
-    /// sub-stages and the model pass.
+    /// from the dispatcher cover queue wait, extraction sub-stages and the
+    /// model pass.
     trace: Option<TraceHandle>,
     /// When [`SharedBatcher::submit`] enqueued the job — the start of its
     /// queue-wait span.
@@ -269,8 +267,8 @@ impl SharedBatcher {
     }
 
     /// [`SharedBatcher::submit`] with the request's trace attached: the
-    /// dispatcher records queue-wait, batch-coalesce, extraction sub-stage
-    /// and predict spans onto it as the job moves through the batch.
+    /// dispatcher records queue-wait, extraction sub-stage and predict spans
+    /// onto it as the job moves through the batch.
     pub fn submit_traced(
         &self,
         model: Arc<MvgClassifier>,
@@ -365,57 +363,26 @@ impl Drop for SharedBatcher {
 }
 
 fn dispatch_loop(shared: &Shared) {
-    loop {
-        let Some((batch, seen)) = collect_batch(shared) else {
-            return; // shutdown with an empty queue
-        };
-        run_batch(shared, batch, seen);
+    while let Some(batch) = collect_batch(shared) {
+        run_batch(shared, batch);
     }
 }
 
-/// Blocks until at least one job is queued, then keeps collecting until the
-/// queue holds a full batch worth of series or the oldest job has waited
-/// `max_wait` — then takes the *front* job's model and pulls every queued
-/// job for that model (up to `max_batch` series) into one batch, leaving
-/// other models' jobs queued in arrival order for the next round. Returns
-/// the batch plus the instant the dispatcher first *saw* work this round —
-/// the boundary between a job's queue-wait and batch-coalesce spans.
-/// Returns `None` on shutdown.
-fn collect_batch(shared: &Shared) -> Option<(Vec<Job>, Instant)> {
+/// Blocks until at least one job is queued, then takes the *front* job's
+/// model and pulls every queued job for that model (up to `max_batch`
+/// series) into one batch, leaving other models' jobs queued in arrival
+/// order for the next round. Never waits for more work to arrive. Returns
+/// `None` on shutdown.
+fn collect_batch(shared: &Shared) -> Option<Vec<Job>> {
     let mut queue = lock_recover(&shared.queue);
-    loop {
-        if queue.shutdown {
-            return None;
-        }
-        if !queue.jobs.is_empty() {
-            break;
-        }
+    while queue.jobs.is_empty() && !queue.shutdown {
         queue = shared
             .wake
             .wait(queue)
             .unwrap_or_else(|poison| poison.into_inner());
     }
-    let seen = Instant::now();
-    let deadline = seen + shared.config.max_wait;
-    loop {
-        if queue.shutdown {
-            return None;
-        }
-        if queue.queued_series >= shared.config.max_batch {
-            break;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        let (next, timeout) = shared
-            .wake
-            .wait_timeout(queue, deadline - now)
-            .unwrap_or_else(|poison| poison.into_inner());
-        queue = next;
-        if timeout.timed_out() {
-            break;
-        }
+    if queue.shutdown {
+        return None;
     }
     // group by the front job's model: whole jobs only, always at least one
     // (so an oversized request still dispatches), skipping other models
@@ -435,12 +402,7 @@ fn collect_batch(shared: &Shared) -> Option<(Vec<Job>, Instant)> {
     }
     queue.jobs = rest;
     queue.queued_series = queue.queued_series.saturating_sub(batch_series);
-    if !queue.jobs.is_empty() {
-        // other models (or overflow of this one) remain: make sure the
-        // dispatcher comes straight back instead of parking on the condvar
-        shared.wake.notify_one();
-    }
-    Some((batch, seen))
+    Some(batch)
 }
 
 /// Extracts features for every series of the batch on the pool and runs the
@@ -450,26 +412,18 @@ fn collect_batch(shared: &Shared) -> Option<(Vec<Job>, Instant)> {
 /// slicing) is caught and every job's completion is invoked with an error,
 /// so no submitter is ever left waiting forever and the dispatcher thread
 /// survives to serve the next batch.
-fn run_batch(shared: &Shared, batch: Vec<Job>, seen: Instant) {
+fn run_batch(shared: &Shared, batch: Vec<Job>) {
     let batch_size: usize = batch.iter().map(|j| j.series.len()).sum();
     shared.metrics.classify_batches_total.inc();
     shared.metrics.classify_series_total.add(batch_size as u64);
     shared.metrics.batch_size.observe(batch_size as f64);
 
-    // split each job's time-in-queue into two disjoint spans: queue-wait
-    // (submit → dispatcher saw work, or 0 for jobs that arrived during the
-    // coalescing window) and batch-coalesce (the rest, up to dispatch)
     let dispatched = Instant::now();
     for job in &batch {
         if let Some(trace) = &job.trace {
-            let seen_for_job = seen.max(job.submitted);
             trace.record(
                 Stage::QueueWait,
-                seen_for_job.saturating_duration_since(job.submitted),
-            );
-            trace.record(
-                Stage::BatchCoalesce,
-                dispatched.saturating_duration_since(seen_for_job),
+                dispatched.saturating_duration_since(job.submitted),
             );
         }
     }
@@ -617,18 +571,30 @@ fn job_output(
 /// The first non-finite feature (within the model's width) of a job's
 /// rows, as an input error naming it.
 fn non_finite_input(model: &MvgClassifier, rows: &[Vec<f64>]) -> Option<ClassifyError> {
-    let names = model.feature_names();
-    rows.iter().enumerate().find_map(|(series, row)| {
-        let (value, name) = row.iter().zip(names).find(|(v, _)| !v.is_finite())?;
-        Some(ClassifyError::Input(format!(
-            "classify input: series {series} has non-finite value {value} in feature `{name}`"
-        )))
+    let rows = rows.iter().map(Vec::as_slice);
+    let (series, value, name) = first_non_finite(rows, model.feature_names())?;
+    Some(ClassifyError::Input(format!(
+        "classify input: series {series} has non-finite value {value} in feature `{name}`"
+    )))
+}
+
+/// The first non-finite value of `rows`, row by row and within the width
+/// of `names`: its row, the value and the name of its feature.
+pub(crate) fn first_non_finite<'a, 'n>(
+    rows: impl IntoIterator<Item = &'a [f64]>,
+    names: &'n [String],
+) -> Option<(usize, f64, &'n str)> {
+    rows.into_iter().enumerate().find_map(|(row, values)| {
+        let (value, name) = values.iter().zip(names).find(|(v, _)| !v.is_finite())?;
+        Some((row, *value, name.as_str()))
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
     use tsg_core::{ClassifierChoice, FeatureConfig, MvgConfig};
     use tsg_ml::gbt::GradientBoostingParams;
     use tsg_ts::Dataset;
@@ -683,6 +649,58 @@ mod tests {
             Arc::new(ServerMetrics::default()),
         )
         .expect("spawn batcher")
+    }
+
+    /// Keeps the dispatcher busy: submits one single-series job whose
+    /// completion parks the dispatcher thread until the returned sender
+    /// signals or drops. Returns once that job's batch has run, so every
+    /// job submitted before the release queues up behind it. Dropping the
+    /// sender (also on a test panic) releases the dispatcher.
+    fn hold_dispatcher(
+        b: &SharedBatcher,
+        model: &Arc<MvgClassifier>,
+    ) -> (ClassifyOutput, mpsc::Sender<()>) {
+        let (ran, result) = mpsc::channel();
+        let (release, held) = mpsc::channel::<()>();
+        b.submit(
+            Arc::clone(model),
+            test_series(1),
+            false,
+            Box::new(move |output| {
+                drop(ran.send(output));
+                let _ = held.recv();
+            }),
+        )
+        .unwrap();
+        let output = result
+            .recv_timeout(Duration::from_secs(10))
+            .expect("held batch ran")
+            .unwrap();
+        (output, release)
+    }
+
+    /// Submits one job whose result arrives on the returned receiver.
+    fn submit_one(
+        b: &SharedBatcher,
+        model: &Arc<MvgClassifier>,
+        series: TimeSeries,
+    ) -> mpsc::Receiver<Result<ClassifyOutput, ClassifyError>> {
+        let (done, result) = mpsc::channel();
+        b.submit(
+            Arc::clone(model),
+            vec![series],
+            false,
+            Box::new(move |output| drop(done.send(output))),
+        )
+        .unwrap();
+        result
+    }
+
+    fn receive(result: &mpsc::Receiver<Result<ClassifyOutput, ClassifyError>>) -> ClassifyOutput {
+        result
+            .recv_timeout(Duration::from_secs(10))
+            .expect("callback fired")
+            .unwrap()
     }
 
     #[test]
@@ -740,10 +758,11 @@ mod tests {
 
     #[test]
     fn two_models_share_one_dispatcher_without_mixing() {
-        // the scale step: many models, one scheduler. Interleave submissions
-        // for two differently seeded models and check every prediction
-        // matches that model's own direct output — a mixed batch would run
-        // the wrong model over someone's series.
+        // the scale step: many models, one scheduler. Interleaved jobs for
+        // two differently seeded models queue up together behind a busy
+        // dispatcher; every prediction must match that model's own direct
+        // output — a mixed batch would run the wrong model over someone's
+        // series — and each model's jobs must form one batch of their own
         let model_a = tiny_model(1);
         let model_b = tiny_model(99);
         let series = test_series(10);
@@ -755,38 +774,29 @@ mod tests {
             .unwrap();
         let config = BatchConfig {
             max_batch: 64,
-            max_wait: Duration::from_millis(20),
             queue_depth: 256,
         };
         let b = batcher(config);
-        let results: Vec<(usize, bool, ClassifyOutput)> = std::thread::scope(|scope| {
-            series
-                .iter()
-                .enumerate()
-                .flat_map(|(i, s)| {
-                    [(i, true, s.clone()), (i, false, s.clone())]
-                        .into_iter()
-                        .map(|(i, use_a, s)| {
-                            let b = &b;
-                            let model = if use_a { &model_a } else { &model_b };
-                            let model = Arc::clone(model);
-                            scope.spawn(move || {
-                                (i, use_a, b.classify(model, vec![s], false).unwrap())
-                            })
-                        })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
-        });
-        for (i, used_a, out) in results {
+        let (_, release) = hold_dispatcher(&b, &model_a);
+        let pending: Vec<_> = series
+            .iter()
+            .enumerate()
+            .flat_map(|(i, s)| [(i, true, s), (i, false, s)])
+            .map(|(i, use_a, s)| {
+                let model = if use_a { &model_a } else { &model_b };
+                (i, use_a, submit_one(&b, model, s.clone()))
+            })
+            .collect();
+        release.send(()).unwrap();
+        for (i, used_a, result) in pending {
+            let out = receive(&result);
             let expected = if used_a { direct_a[i] } else { direct_b[i] };
             assert_eq!(
                 out.predictions,
                 vec![expected],
                 "series {i} model_a={used_a}"
             );
+            assert_eq!(out.batch_size, 10, "series {i} model_a={used_a}");
         }
     }
 
@@ -795,7 +805,6 @@ mod tests {
         let model = tiny_model(1);
         let config = BatchConfig {
             max_batch: 64,
-            max_wait: Duration::from_millis(30),
             queue_depth: 256,
         };
         let b = batcher(config);
@@ -803,31 +812,61 @@ mod tests {
         let direct = model
             .predict(&Dataset::from_series("q", series.clone()))
             .unwrap();
-        let results: Vec<(usize, ClassifyOutput)> = std::thread::scope(|scope| {
+        // 12 threads submit at once while the dispatcher is busy; the next
+        // batch takes all of them
+        let (_, release) = hold_dispatcher(&b, &model);
+        let pending: Vec<_> = std::thread::scope(|scope| {
             series
                 .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    let b = &b;
-                    let model = Arc::clone(&model);
-                    let s = s.clone();
-                    scope.spawn(move || (i, b.classify(model, vec![s], false).unwrap()))
+                .map(|s| {
+                    let (b, model) = (&b, &model);
+                    scope.spawn(move || submit_one(b, model, s.clone()))
                 })
                 .collect::<Vec<_>>()
                 .into_iter()
                 .map(|h| h.join().unwrap())
                 .collect()
         });
-        let mut coalesced = false;
-        for (i, out) in results {
+        release.send(()).unwrap();
+        for (i, result) in pending.iter().enumerate() {
+            let out = receive(result);
             assert_eq!(out.predictions, vec![direct[i]], "series {i}");
-            if out.batch_size > 1 {
-                coalesced = true;
-            }
+            assert_eq!(out.batch_size, 12, "series {i} was not co-batched");
         }
-        // 12 concurrent single-series requests with a 30 ms window on a
-        // model whose batch takes ~ms: at least some must share a batch
-        assert!(coalesced, "no request was ever co-batched");
+    }
+
+    #[test]
+    fn dispatch_is_work_conserving() {
+        let model = tiny_model(1);
+        let metrics = Arc::new(ServerMetrics::default());
+        let b = SharedBatcher::new(
+            BatchConfig::default(),
+            ThreadPool::new(2),
+            Arc::clone(&metrics),
+        )
+        .expect("spawn batcher");
+        // a lone job on an idle dispatcher runs at once, alone: nothing
+        // waits for company that is not coming
+        let (lone, release) = hold_dispatcher(&b, &model);
+        assert_eq!(lone.batch_size, 1);
+        assert_eq!(metrics.classify_batches_total.get(), 1);
+        // jobs that arrive while that batch is still running queue up, and
+        // the next batch takes them all
+        let series = test_series(3);
+        let direct = model
+            .predict(&Dataset::from_series("q", series.clone()))
+            .unwrap();
+        let pending: Vec<_> = series
+            .into_iter()
+            .map(|s| submit_one(&b, &model, s))
+            .collect();
+        release.send(()).unwrap();
+        for (i, result) in pending.iter().enumerate() {
+            let out = receive(result);
+            assert_eq!(out.predictions, vec![direct[i]], "series {i}");
+            assert_eq!(out.batch_size, 3, "series {i}");
+        }
+        assert_eq!(metrics.classify_batches_total.get(), 2);
     }
 
     #[test]
@@ -835,7 +874,6 @@ mod tests {
         let model = tiny_model(1);
         let config = BatchConfig {
             max_batch: 4,
-            max_wait: Duration::from_millis(1),
             queue_depth: 2,
         };
         let metrics = Arc::new(ServerMetrics::default());
@@ -876,7 +914,6 @@ mod tests {
         let model = tiny_model(1);
         let config = BatchConfig {
             max_batch: 2,
-            max_wait: Duration::from_millis(1),
             queue_depth: 4,
         };
         let b = batcher(config);

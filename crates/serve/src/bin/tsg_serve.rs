@@ -2,7 +2,7 @@
 //!
 //! ```sh
 //! tsg-serve [--addr 127.0.0.1:7878] [--threads N] [--max-batch 32]
-//!           [--max-wait-ms 2] [--queue-depth 256]
+//!           [--queue-depth 256]
 //!           [--preload NAME[,NAME...]] [--config fast|paper|uvg-fast|wide]
 //!           [--prune K] [--max-instances N] [--max-length N] [--seed N]
 //!           [--snapshot-dir DIR] [--request-budget-ms N]
@@ -63,12 +63,6 @@ fn parse_args() -> Result<Args, String> {
                     .ok()
                     .filter(|&n| n >= 1)
                     .ok_or_else(|| "--max-batch expects a positive number".to_string())?
-            }
-            "--max-wait-ms" => {
-                let ms: u64 = value(&mut i)?
-                    .parse()
-                    .map_err(|_| "--max-wait-ms expects a number".to_string())?;
-                args.serve.batch.max_wait = Duration::from_millis(ms);
             }
             "--queue-depth" => {
                 args.serve.batch.queue_depth = value(&mut i)?
@@ -134,7 +128,6 @@ fn parse_args() -> Result<Args, String> {
                      --addr HOST:PORT    bind address (default 127.0.0.1:7878; port 0 = ephemeral)\n  \
                      --threads N         extraction pool workers (0 = process default)\n  \
                      --max-batch N       max series per micro-batch (default 32)\n  \
-                     --max-wait-ms N     max co-batching wait for the oldest request (default 2)\n  \
                      --queue-depth N     queued series before 429 backpressure (default 256)\n  \
                      --preload A,B,...   fit catalogue datasets before serving\n  \
                      --config NAME       preset for preloads: fast | paper | uvg-fast | wide (default fast)\n  \
@@ -215,8 +208,8 @@ fn main() {
     let addr = server.local_addr().expect("listener has an address");
     let batch = args.serve.batch;
     println!(
-        "tsg-serve listening on http://{addr} (max batch {}, max wait {:?}, queue depth {})",
-        batch.max_batch, batch.max_wait, batch.queue_depth
+        "tsg-serve listening on http://{addr} (max batch {}, queue depth {})",
+        batch.max_batch, batch.queue_depth
     );
     // line-buffered stdout under redirection: flush so the CI smoke test can
     // grep the address before the first request arrives

@@ -23,8 +23,9 @@
 //!   requests can pin one), fitted from the [`tsg_datasets`] catalogue or
 //!   from series supplied in the request;
 //! * [`batcher`] — ONE shared micro-batch scheduler for all models:
-//!   concurrent classify requests coalesce into per-model batches (tunable
-//!   max size / max wait), each batch extracts features on the shared
+//!   a work-conserving dispatcher takes every queued classify request for
+//!   the front request's model (up to a max size) into one batch as soon
+//!   as it is free, each batch extracts features on the shared
 //!   [`tsg_parallel::ThreadPool`] with warm
 //!   [`MotifWorkspace`](tsg_graph::motifs::MotifWorkspace) reuse, and a
 //!   bounded queue applies backpressure (HTTP 429) when saturated;

@@ -18,7 +18,7 @@
 //! server answers `409 Conflict` instead of silently classifying with a
 //! different model.
 
-use crate::batcher::{BatchConfig, SharedBatcher};
+use crate::batcher::{first_non_finite, BatchConfig, SharedBatcher};
 use crate::metrics::ServerMetrics;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -141,6 +141,9 @@ pub enum RegistryError {
     UnknownConfig(String),
     /// The catalogue has no dataset with this name.
     UnknownDataset(String),
+    /// The training input cannot be fitted, e.g. a series whose features
+    /// overflow to a non-finite value.
+    Input(String),
     /// Fitting failed.
     Fit(String),
 }
@@ -155,6 +158,7 @@ impl std::fmt::Display for RegistryError {
                 CONFIG_PRESETS.join(", ")
             ),
             RegistryError::UnknownDataset(n) => write!(f, "unknown dataset `{n}`"),
+            RegistryError::Input(e) => write!(f, "invalid training input: {e}"),
             RegistryError::Fit(e) => write!(f, "fit failed: {e}"),
         }
     }
@@ -298,6 +302,11 @@ impl ModelRegistry {
         // pruned fit keeps. fit_seconds deliberately covers both fits.
         let mut clf = MvgClassifier::new(config);
         let (wide, names) = clf.extract_features(&train);
+        if let Some((row, value, name)) = first_non_finite(wide.rows(), &names) {
+            return Err(RegistryError::Input(format!(
+                "training series {row} has non-finite value {value} in feature `{name}`"
+            )));
+        }
         match prune {
             None => clf.fit_features(wide, names, &labels).map_err(fit_error)?,
             Some(k) => {

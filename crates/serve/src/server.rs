@@ -32,6 +32,7 @@ use crate::http::{Request, Response};
 use crate::json::Json;
 use crate::metrics::ServerMetrics;
 use crate::registry::{ModelRegistry, RegistryError, TrainingSource};
+use std::collections::BTreeSet;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -388,6 +389,33 @@ fn parse_series(value: &Json, require_label: bool) -> Result<TimeSeries, String>
     }
 }
 
+/// The inline training set of a fit body: at least one labelled series,
+/// with labels dense `0..k` for `k` distinct labels. The model sizes its
+/// class count by the largest label, so a sparse label is refused rather
+/// than allowed to size it.
+fn parse_training_set(train: &Json, name: &str) -> Result<Dataset, String> {
+    let items = train
+        .get("series")
+        .and_then(|s| s.as_array())
+        .ok_or_else(|| "`train` needs a `series` array".to_string())?;
+    if items.is_empty() {
+        return Err("`train.series` must not be empty".to_string());
+    }
+    let mut dataset = Dataset::new(format!("{name}_inline"));
+    for item in items {
+        dataset.push(parse_series(item, true)?);
+    }
+    let labels: BTreeSet<usize> = dataset.series().iter().filter_map(|s| s.label()).collect();
+    let k = labels.len();
+    match labels.into_iter().find(|&label| label >= k) {
+        Some(label) => Err(format!(
+            "`train.series` labels must be dense 0..{k} for {k} distinct labels, \
+             but label {label} is outside that range"
+        )),
+        None => Ok(dataset),
+    }
+}
+
 /// `POST /models/{name}/fit` — parsing and validation happen inline (cheap);
 /// the fit itself is queued to the ops worker so a multi-second training run
 /// never blocks the event loop.
@@ -460,20 +488,10 @@ fn fit_model(
             options,
         }
     } else if let Some(train) = body.get("train") {
-        let items = match train.get("series").and_then(|s| s.as_array()) {
-            Some(items) => items,
-            None => {
-                return Routed::Immediate(Response::error(400, "`train` needs a `series` array"))
-            }
-        };
-        let mut dataset = Dataset::new(format!("{name}_inline"));
-        for item in items {
-            match parse_series(item, true) {
-                Ok(series) => dataset.push(series),
-                Err(e) => return Routed::Immediate(Response::error(400, &e)),
-            }
+        match parse_training_set(train, name) {
+            Ok(dataset) => TrainingSource::Inline(dataset),
+            Err(e) => return Routed::Immediate(Response::error(400, &e)),
         }
-        TrainingSource::Inline(dataset)
     } else {
         return Routed::Immediate(Response::error(
             400,
@@ -494,9 +512,11 @@ fn fit_model(
         }));
         let response = match outcome {
             Ok(Ok(info)) => Response::json(200, &model_info_json(&info)),
-            Ok(Err(e @ (RegistryError::UnknownConfig(_) | RegistryError::UnknownDataset(_)))) => {
-                Response::error(400, &e.to_string())
-            }
+            Ok(Err(
+                e @ (RegistryError::UnknownConfig(_)
+                | RegistryError::UnknownDataset(_)
+                | RegistryError::Input(_)),
+            )) => Response::error(400, &e.to_string()),
             Ok(Err(e @ RegistryError::UnknownModel(_))) => Response::error(404, &e.to_string()),
             Ok(Err(e @ RegistryError::Fit(_))) => Response::error(500, &e.to_string()),
             Err(_) => Response::error(500, "fit crashed; model unchanged"),
@@ -676,6 +696,26 @@ mod tests {
         let labeled = Json::parse(r#"{"values": [1, 2], "label": 4}"#).unwrap();
         let s = parse_series(&labeled, true).unwrap();
         assert_eq!(s.label(), Some(4));
+    }
+
+    #[test]
+    fn training_labels_must_be_dense() {
+        let set = |labels: &str| {
+            let series: Vec<String> = labels
+                .split(',')
+                .map(|l| format!(r#"{{"values": [1, 2, 3], "label": {l}}}"#))
+                .collect();
+            let train = format!(r#"{{"series": [{}]}}"#, series.join(", "));
+            parse_training_set(&Json::parse(&train).unwrap(), "m")
+        };
+        assert_eq!(set("1,0,1,2").unwrap().len(), 4);
+        let error = set("0,4000000000").unwrap_err();
+        assert!(error.contains("label 4000000000"), "{error}");
+        let error = set("1,2").unwrap_err();
+        assert!(error.contains("label 2"), "{error}");
+        let error =
+            parse_training_set(&Json::parse(r#"{"series": []}"#).unwrap(), "m").unwrap_err();
+        assert!(error.contains("train.series"), "{error}");
     }
 
     #[test]

@@ -113,7 +113,6 @@ fn start_server(snapshot_dir: Option<PathBuf>) -> (String, std::thread::JoinHand
         n_threads: 2,
         batch: BatchConfig {
             max_batch: 16,
-            max_wait: Duration::from_millis(2),
             queue_depth: 128,
         },
         archive: archive_options(),

@@ -48,7 +48,6 @@ fn start_server() -> (String, std::thread::JoinHandle<()>) {
         n_threads: 2,
         batch: BatchConfig {
             max_batch: 16,
-            max_wait: Duration::from_millis(5),
             queue_depth: 128,
         },
         archive: archive_options(),
@@ -531,10 +530,9 @@ fn flight_recorder_attributes_stage_latency_to_classify_traces() {
         "classify traces missing: {recorder}"
     );
 
-    const STAGES: [&str; 9] = [
+    const STAGES: [&str; 8] = [
         "parse",
         "queue_wait",
-        "batch_coalesce",
         "scale",
         "graph_build",
         "motif_count",
@@ -731,25 +729,89 @@ fn invalid_requests_are_rejected_not_fatal() {
     server_handle.join().expect("server thread panicked");
 }
 
+/// A labelled inline training series.
+fn labelled(values: impl IntoIterator<Item = f64>, label: u64) -> Json {
+    Json::obj(vec![
+        ("values", Json::nums(values)),
+        ("label", Json::Num(label as f64)),
+    ])
+}
+
+/// Posts an inline fit and returns its status and error message.
+fn inline_fit(client: &mut Client, config: &str, series: Vec<Json>) -> (u16, String) {
+    let body = Json::obj(vec![
+        ("config", Json::Str(config.into())),
+        ("train", Json::obj(vec![("series", Json::Arr(series))])),
+    ]);
+    let (status, reply) = client.call("POST", "/models/inline/fit", Some(&body));
+    let message = reply
+        .get("error")
+        .and_then(|e| e.as_str())
+        .unwrap_or_default();
+    (status, message.to_string())
+}
+
+#[test]
+fn empty_inline_training_set_is_a_400_naming_the_field() {
+    let (addr, server_handle) = start_server();
+    let mut client = Client::connect(&addr);
+    let (status, message) = inline_fit(&mut client, CONFIG, Vec::new());
+    assert_eq!(status, 400, "{message}");
+    assert!(message.contains("train.series"), "{message}");
+    let (status, _) = client.call("POST", "/shutdown", None);
+    assert_eq!(status, 200);
+    server_handle.join().expect("server thread panicked");
+}
+
+#[test]
+fn sparse_inline_labels_are_a_400_naming_the_label() {
+    let (addr, server_handle) = start_server();
+    let mut client = Client::connect(&addr);
+    // labels {0, 7}: the model would size itself for 8 classes, 6 empty
+    let series = (0..6u64)
+        .map(|i| {
+            let label = if i % 2 == 0 { 0 } else { 7 };
+            labelled((0..32u64).map(|t| ((t * (i + 3)) % 11) as f64), label)
+        })
+        .collect();
+    let (status, message) = inline_fit(&mut client, CONFIG, series);
+    assert_eq!(status, 400, "{message}");
+    assert!(message.contains("train.series"), "{message}");
+    assert!(message.contains("label 7"), "{message}");
+    let (status, models) = client.call("GET", "/models", None);
+    assert_eq!(status, 200);
+    assert_eq!(models.get("models").unwrap().as_array().unwrap().len(), 0);
+    let (status, _) = client.call("POST", "/shutdown", None);
+    assert_eq!(status, 200);
+    server_handle.join().expect("server thread panicked");
+}
+
+#[test]
+fn overflowing_inline_fit_is_a_400_naming_the_feature() {
+    let (addr, server_handle) = start_server();
+    let mut client = Client::connect(&addr);
+    // six `wide` series at ±1e200: their energy overflows to infinity
+    let series = (0..6u64)
+        .map(|i| {
+            let values = (0..64u64).map(move |t| {
+                let sign = if (t + i) % 2 == 0 { 1.0 } else { -1.0 };
+                sign * (1.0 + ((t * (i + 2)) % 7) as f64 / 10.0) * 1e200
+            });
+            labelled(values, i % 2)
+        })
+        .collect();
+    let (status, message) = inline_fit(&mut client, "wide", series);
+    assert_eq!(status, 400, "{message}");
+    assert!(message.contains("feature `stat energy`"), "{message}");
+    let (status, _) = client.call("POST", "/shutdown", None);
+    assert_eq!(status, 200);
+    server_handle.join().expect("server thread panicked");
+}
+
 #[test]
 fn one_non_finite_series_fails_only_its_own_request() {
     use std::io::Write;
-    // a long coalescing window, so the three pipelined requests below
-    // share one batch
-    let server = Server::bind(ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        n_threads: 2,
-        batch: BatchConfig {
-            max_batch: 16,
-            max_wait: Duration::from_millis(300),
-            queue_depth: 128,
-        },
-        archive: archive_options(),
-        ..ServeConfig::default()
-    })
-    .expect("bind ephemeral port");
-    let addr = server.local_addr().unwrap().to_string();
-    let server_handle = std::thread::spawn(move || server.run().expect("server run"));
+    let (addr, server_handle) = start_server();
     let mut admin = Client::connect(&addr);
     let fit = Json::obj(vec![
         ("dataset", Json::Str(DATASET.into())),
@@ -773,7 +835,14 @@ fn one_non_finite_series_fails_only_its_own_request() {
     let huge: Vec<f64> = (0..96)
         .map(|t| if t % 2 == 0 { 3e200 } else { -3e200 })
         .collect();
+    // a blocker fills a whole batch (`max_batch` 16) of long series and
+    // goes first; the three requests pipelined behind it queue up while it
+    // computes, and the dispatcher's next batch takes all three
+    let blocker: Vec<Json> = (0..16u64)
+        .map(|s| Json::nums((0..2000u64).map(|t| ((t * 7919 + s * 104_729) % 1000) as f64)))
+        .collect();
     let bodies = [
+        Json::obj(vec![("series", Json::Arr(blocker))]),
         Json::obj(vec![("series", Json::Arr(vec![series_json(&good[0])]))]),
         Json::obj(vec![("series", Json::Arr(vec![Json::nums(huge)]))]),
         Json::obj(vec![("series", Json::Arr(vec![series_json(&good[1])]))]),
@@ -800,7 +869,14 @@ fn one_non_finite_series_fails_only_its_own_request() {
         ));
     }
 
-    let (status, bad) = &replies[1];
+    let (status, blocked) = &replies[0];
+    assert_eq!(*status, 200, "{blocked}");
+    assert_eq!(
+        blocked.get("batch_size").unwrap().as_usize(),
+        Some(16),
+        "the blocker shared its batch: {blocked}"
+    );
+    let (status, bad) = &replies[2];
     assert_eq!(*status, 400, "{bad}");
     let message = bad
         .get("error")
@@ -811,7 +887,7 @@ fn one_non_finite_series_fails_only_its_own_request() {
         message.contains("feature `stat energy`"),
         "the error names another feature than energy: {message}"
     );
-    for (i, reply) in [&replies[0], &replies[2]].into_iter().enumerate() {
+    for (i, reply) in [&replies[1], &replies[3]].into_iter().enumerate() {
         let (status, body) = reply;
         assert_eq!(*status, 200, "{body}");
         assert_eq!(

@@ -44,15 +44,14 @@ use std::time::{Duration, Instant};
 pub enum Stage {
     /// Incremental HTTP parse of this request's bytes.
     Parse,
-    /// Submit → first observed by the batch dispatcher (backlog wait).
+    /// Submit → the batch dispatcher takes the request into a batch.
     QueueWait,
-    /// Dispatcher's deliberate co-batching window for this request.
-    BatchCoalesce,
     /// Multiscale representation build (PAA halvings), per series.
     Scale,
     /// Visibility-graph construction across all scales, per series.
     GraphBuild,
-    /// Motif census over the built graphs, per series.
+    /// Graph features (motif census and graph statistics) over the built
+    /// graphs, per series.
     MotifCount,
     /// Per-series statistical feature layer of the tiered catalogue.
     Statistical,
@@ -66,14 +65,13 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (the length of every per-trace stage array).
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 9;
 
     /// All stages in lifecycle order — the canonical iteration order for
     /// rendering (`/metrics` labels, `/debug/traces` JSON).
     pub const ALL: [Stage; Stage::COUNT] = [
         Stage::Parse,
         Stage::QueueWait,
-        Stage::BatchCoalesce,
         Stage::Scale,
         Stage::GraphBuild,
         Stage::MotifCount,
@@ -89,7 +87,6 @@ impl Stage {
         match self {
             Stage::Parse => "parse",
             Stage::QueueWait => "queue_wait",
-            Stage::BatchCoalesce => "batch_coalesce",
             Stage::Scale => "scale",
             Stage::GraphBuild => "graph_build",
             Stage::MotifCount => "motif_count",
@@ -428,7 +425,6 @@ mod tests {
             [
                 "parse",
                 "queue_wait",
-                "batch_coalesce",
                 "scale",
                 "graph_build",
                 "motif_count",
