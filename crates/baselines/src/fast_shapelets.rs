@@ -69,7 +69,7 @@ pub struct FastShapelets {
 
 /// Minimum z-normalised Euclidean distance between `shapelet` and any
 /// subsequence of `series` of the same length, normalised by shapelet length.
-pub fn shapelet_distance(series: &[f64], shapelet: &[f64]) -> f64 {
+fn shapelet_distance(series: &[f64], shapelet: &[f64]) -> f64 {
     let m = shapelet.len();
     if m == 0 || series.len() < m {
         return f64::INFINITY;

@@ -9,8 +9,6 @@
 //!   `LB_Keogh` pruning and early abandoning).
 //! * [`sax_vsm`] — SAX-VSM: class-level tf-idf vectors over SAX word bags,
 //!   cosine-similarity classification (Senin & Malinchik, 2013).
-//! * [`bag_of_patterns`] — Bag-of-Patterns: per-series SAX word histograms
-//!   with nearest-neighbour matching (Lin et al., 2012).
 //! * [`fast_shapelets`] — a shapelet decision tree with random-projection
 //!   style candidate subsampling in the spirit of Fast Shapelets
 //!   (Rakthanmanon & Keogh, 2013).
@@ -20,7 +18,6 @@
 //! All classifiers implement the common [`TscClassifier`] trait so the
 //! benchmark harness can drive them uniformly.
 
-pub mod bag_of_patterns;
 pub mod error;
 pub mod fast_shapelets;
 pub mod learning_shapelets;
@@ -28,7 +25,6 @@ pub mod nn;
 pub mod sax_vsm;
 pub mod traits;
 
-pub use bag_of_patterns::BagOfPatterns;
 pub use error::BaselineError;
 pub use fast_shapelets::{FastShapelets, FastShapeletsParams};
 pub use learning_shapelets::{LearningShapelets, LearningShapeletsParams};

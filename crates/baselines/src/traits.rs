@@ -26,8 +26,7 @@ pub trait TscClassifier: Send {
     /// over `n_threads` pool workers. Results must be bit-identical to the
     /// serial path for every thread count — parallelism is an
     /// implementation detail that may never leak into predictions (the
-    /// tier-1 determinism harness asserts this for SAX-VSM and
-    /// Bag-of-Patterns).
+    /// tier-1 determinism harness asserts this for SAX-VSM).
     fn predict_parallel(&self, test: &Dataset, n_threads: usize) -> Result<Vec<usize>>
     where
         Self: Sync,

@@ -314,7 +314,7 @@ pub fn stat_family_len(family: StatFamily, config: &StatisticalConfig) -> usize 
 }
 
 /// Names a statistical family contributes under `config`, in order.
-pub fn stat_family_names(family: StatFamily, config: &StatisticalConfig) -> Vec<String> {
+fn stat_family_names(family: StatFamily, config: &StatisticalConfig) -> Vec<String> {
     match family.names(config) {
         StatNames::Fixed(names) => names.iter().map(|n| format!("stat {n}")).collect(),
         StatNames::Numbered(prefix, len) => {

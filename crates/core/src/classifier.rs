@@ -104,12 +104,6 @@ impl MvgConfig {
         }
     }
 
-    /// Replaces the feature configuration.
-    pub fn with_features(mut self, features: FeatureConfig) -> Self {
-        self.features = features;
-        self
-    }
-
     /// Replaces the classifier choice.
     pub fn with_classifier(mut self, classifier: ClassifierChoice) -> Self {
         self.classifier = classifier;
@@ -855,7 +849,10 @@ mod tests {
     fn pruned_config_selects_top_k_and_refits() {
         let train = structured_dataset(10, 128, 31);
         let test = structured_dataset(8, 128, 32);
-        let wide_config = MvgConfig::fast().with_features(FeatureConfig::wide());
+        let wide_config = MvgConfig {
+            features: FeatureConfig::wide(),
+            ..MvgConfig::fast()
+        };
         let mut wide = MvgClassifier::new(wide_config);
         wide.fit(&train).unwrap();
 
@@ -933,7 +930,10 @@ mod tests {
     fn pruned_snapshot_round_trips_with_selection_fingerprint() {
         let train = structured_dataset(8, 96, 35);
         let test = structured_dataset(6, 96, 36);
-        let wide_config = MvgConfig::fast().with_features(FeatureConfig::wide());
+        let wide_config = MvgConfig {
+            features: FeatureConfig::wide(),
+            ..MvgConfig::fast()
+        };
         let mut wide = MvgClassifier::new(wide_config.clone());
         wide.fit(&train).unwrap();
         let pruned_config = wide.pruned_config(16).unwrap();

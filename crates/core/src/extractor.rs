@@ -161,27 +161,11 @@ impl FeatureConfig {
         format!("{} {} {}", self.scale_mode.short_name(), kinds, features)
     }
 
-    /// Number of PAA halvings a series of length `len` admits — the single
-    /// source of truth shared by scale counting, feature naming and the
-    /// multiscale cascade itself.
-    fn halvings_for_length(&self, len: usize) -> usize {
-        let mut halvings = 0usize;
-        let mut current = len;
-        while current / 2 > self.multiscale.tau
-            && current >= 2
-            && halvings < self.multiscale.max_scales
-        {
-            current /= 2;
-            halvings += 1;
-        }
-        halvings
-    }
-
     /// The scale indices the configuration produces for a series of length
     /// `len`, in wide-vector order (`0` = the original series; AMVG falls
     /// back to `[0]` when the series is too short to downscale).
-    pub fn scale_indices_for_length(&self, len: usize) -> Vec<usize> {
-        let halvings = self.halvings_for_length(len);
+    fn scale_indices_for_length(&self, len: usize) -> Vec<usize> {
+        let halvings = self.multiscale.halvings(len);
         match self.scale_mode {
             ScaleMode::Uniscale => vec![0],
             ScaleMode::ApproximatedMultiscale => {
@@ -202,7 +186,7 @@ impl FeatureConfig {
     }
 
     /// Number of features produced for a series of length `len`.
-    pub fn n_features_for_length(&self, len: usize) -> usize {
+    fn n_features_for_length(&self, len: usize) -> usize {
         if let Some(selection) = &self.selection {
             return selection.len();
         }
@@ -517,8 +501,8 @@ mod tests {
         }
     }
 
-    // The satellite property: the two name/count sources can never drift
-    // again, for every scale mode, statistical layer and length 1..=512.
+    // The name/count sources and the cascade itself can never drift apart,
+    // for every scale mode, statistical layer, `τ`/cap and length 1..=512.
     #[test]
     fn names_and_counts_agree_for_all_lengths_and_modes() {
         let mut configs = vec![
@@ -531,6 +515,13 @@ mod tests {
         configs.push(FeatureConfig {
             statistical: StatisticalConfig::standard(),
             ..FeatureConfig::amvg()
+        });
+        configs.push(FeatureConfig {
+            multiscale: MultiscaleOptions {
+                tau: 0,
+                max_scales: 3,
+            },
+            ..FeatureConfig::mvg()
         });
         for config in &configs {
             for len in 1..=512usize {
@@ -545,6 +536,24 @@ mod tests {
                     config.n_scales_for_length(len),
                     config.scale_indices_for_length(len).len()
                 );
+                // counting and naming follow the cascade extraction runs
+                let series = TimeSeries::new(vec![0.5; len]);
+                let cascade: Vec<usize> = scale_values_with_sink(
+                    &series,
+                    config.scale_mode,
+                    config.multiscale,
+                    &mut NoopTraceSink,
+                )
+                .into_iter()
+                .map(|(scale, _)| scale)
+                .collect();
+                assert_eq!(
+                    config.n_scales_for_length(len),
+                    cascade.len(),
+                    "config {} length {len}",
+                    config.label()
+                );
+                assert_eq!(config.scale_indices_for_length(len), cascade);
             }
         }
         // and extraction itself matches the predicted width on a sample

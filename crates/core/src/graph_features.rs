@@ -6,30 +6,10 @@
 //! statistics) — the two configurations compared in columns A/C vs B/D of
 //! Table 2.
 
-use crate::motif_groups::{
-    motif_feature_index, motif_feature_names, motif_probability_distribution, N_MOTIF_FEATURES,
-};
-use tsg_graph::motifs::count_motifs;
+use crate::motif_groups::{motif_feature_index, motif_feature_names, N_MOTIF_FEATURES};
 use tsg_graph::stats::GraphStatistics;
-use tsg_graph::Graph;
 
-/// Computes the feature block for one graph.
-///
-/// * `include_other_stats = false` → 17 motif probabilities.
-/// * `include_other_stats = true`  → 17 motif probabilities followed by 7
-///   scalar statistics.
-///
-/// Motif counting reuses the calling thread's
-/// [`MotifWorkspace`](tsg_graph::motifs::MotifWorkspace).
-pub fn graph_feature_block(graph: &Graph, include_other_stats: bool) -> Vec<f64> {
-    let mut features = motif_probability_distribution(&count_motifs(graph));
-    if include_other_stats {
-        features.extend(GraphStatistics::compute(graph).to_features());
-    }
-    features
-}
-
-/// Names for [`graph_feature_block`], in the same order.
+/// Names of the feature block of one graph, in extraction order.
 pub fn graph_feature_names(include_other_stats: bool) -> Vec<String> {
     let mut names = motif_feature_names();
     if include_other_stats {
@@ -66,19 +46,30 @@ pub fn block_len(include_other_stats: bool) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsg_graph::visibility::{horizontal_visibility_graph, visibility_graph};
+    use crate::extractor::{extract_series_features, FeatureConfig};
+    use tsg_graph::visibility::VisibilityKind;
+    use tsg_ts::TimeSeries;
 
-    fn series() -> Vec<f64> {
-        (0..128)
-            .map(|i| ((i as f64) * 0.3).sin() + 0.3 * ((i as f64) * 0.05).cos())
-            .collect()
+    fn series() -> TimeSeries {
+        TimeSeries::new(
+            (0..128)
+                .map(|i| ((i as f64) * 0.3).sin() + 0.3 * ((i as f64) * 0.05).cos())
+                .collect(),
+        )
+    }
+
+    /// The block of one graph: the uniscale features of a single kind.
+    fn block(kind: VisibilityKind, include_other_stats: bool) -> Vec<f64> {
+        extract_series_features(
+            &series(),
+            &FeatureConfig::uniscale_single(kind, include_other_stats),
+        )
     }
 
     #[test]
     fn block_lengths_match_names() {
-        let g = visibility_graph(&series());
         for include in [false, true] {
-            let block = graph_feature_block(&g, include);
+            let block = block(VisibilityKind::Natural, include);
             let names = graph_feature_names(include);
             assert_eq!(block.len(), names.len());
             assert_eq!(block.len(), block_len(include));
@@ -99,29 +90,24 @@ mod tests {
 
     #[test]
     fn features_are_finite() {
-        for g in [
-            visibility_graph(&series()),
-            horizontal_visibility_graph(&series()),
-        ] {
-            let block = graph_feature_block(&g, true);
+        for kind in [VisibilityKind::Natural, VisibilityKind::Horizontal] {
+            let block = block(kind, true);
             assert!(block.iter().all(|v| v.is_finite()), "{block:?}");
         }
     }
 
     #[test]
     fn mpds_prefix_is_shared() {
-        let g = visibility_graph(&series());
-        let short = graph_feature_block(&g, false);
-        let long = graph_feature_block(&g, true);
+        let short = block(VisibilityKind::Natural, false);
+        let long = block(VisibilityKind::Natural, true);
         assert_eq!(&long[..short.len()], &short[..]);
         assert!(long.len() > short.len());
     }
 
     #[test]
     fn vg_and_hvg_blocks_differ() {
-        let s = series();
-        let vg_block = graph_feature_block(&visibility_graph(&s), true);
-        let hvg_block = graph_feature_block(&horizontal_visibility_graph(&s), true);
+        let vg_block = block(VisibilityKind::Natural, true);
+        let hvg_block = block(VisibilityKind::Horizontal, true);
         assert_ne!(vg_block, hvg_block);
     }
 }

@@ -36,7 +36,7 @@ pub use extractor::{
     extract_dataset_features, extract_series_features, extract_series_features_traced,
     FeatureConfig,
 };
-pub use graph_features::{graph_feature_block, graph_feature_names};
+pub use graph_features::graph_feature_names;
 pub use importance::{rank_features, FeatureImportance};
 pub use motif_groups::{motif_probability_distribution, MotifGroup, MOTIF_GROUPS};
 pub use representation::{ScaleMode, SeriesGraphs};

@@ -151,12 +151,6 @@ impl Graph {
         })
     }
 
-    /// Common neighbors of `u` and `v` (sorted-merge reference path; the
-    /// motif kernel uses the allocation-free marker path instead).
-    pub fn common_neighbors(&self, u: usize, v: usize) -> Vec<u32> {
-        sorted_intersection(self.neighbors(u), self.neighbors(v))
-    }
-
     /// The union of this graph's edges with another graph over the same
     /// vertex set (used in tests for the HVG ⊆ VG invariant).
     pub fn is_subgraph_of(&self, other: &Graph) -> bool {
@@ -165,25 +159,6 @@ impl Graph {
         }
         self.edges().all(|(u, v)| other.has_edge(u, v))
     }
-}
-
-/// Intersection of two sorted ascending slices.
-pub fn sorted_intersection(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    let mut j = 0;
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -263,14 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn common_neighbors_work() {
-        let g = triangle_with_tail();
-        assert_eq!(g.common_neighbors(1, 2), vec![0]);
-        assert_eq!(g.common_neighbors(1, 3), vec![0]);
-        assert_eq!(g.common_neighbors(2, 3).len(), 1);
-    }
-
-    #[test]
     fn subgraph_check() {
         let g = triangle_with_tail();
         let sub = Graph::from_edges(4, [(0, 1), (0, 2)]);
@@ -278,12 +245,6 @@ mod tests {
         assert!(!g.is_subgraph_of(&sub));
         let other_size = Graph::new(3);
         assert!(!other_size.is_subgraph_of(&g));
-    }
-
-    #[test]
-    fn sorted_set_helpers() {
-        assert_eq!(sorted_intersection(&[1, 3, 5], &[2, 3, 5, 7]), vec![3, 5]);
-        assert!(sorted_intersection(&[], &[1, 2]).is_empty());
     }
 
     #[test]

@@ -16,14 +16,12 @@
 //!   equation 4 of the paper).
 //! * [`stats`] — density (equation 2), degree statistics and the combined
 //!   [`stats::GraphStatistics`] record.
-//! * [`traversal`] — connected components and connectivity checks.
 
 pub mod assortativity;
 pub mod graph;
 pub mod kcore;
 pub mod motifs;
 pub mod stats;
-pub mod traversal;
 pub mod visibility;
 
 pub use assortativity::degree_assortativity;
@@ -31,7 +29,6 @@ pub use graph::Graph;
 pub use kcore::{core_numbers, max_coreness};
 pub use motifs::{count_motifs, count_motifs_with, Motif, MotifCounts, MotifWorkspace};
 pub use stats::{degree_statistics, density, DegreeStatistics, GraphStatistics};
-pub use traversal::{connected_components, is_connected};
 pub use visibility::{
     horizontal_visibility_graph, visibility_graph, visibility_graph_naive, VisibilityKind,
 };

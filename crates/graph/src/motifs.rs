@@ -288,8 +288,6 @@ pub struct MotifWorkspace {
     epoch2: u32,
     /// Common neighbors of the current edge ranked above both endpoints.
     ordered: Vec<u32>,
-    /// Reusable output buffer of [`MotifWorkspace::common_neighbors`].
-    common: Vec<u32>,
     /// Degree-ascending rank of each input vertex (ties by index), and its
     /// inverse: `order[rank[v]] == v`.
     rank: Vec<u32>,
@@ -392,26 +390,6 @@ impl MotifWorkspace {
     /// Degree of ranked vertex `v`.
     fn degree(&self, v: usize) -> u64 {
         (self.offsets[v + 1] - self.offsets[v]) as u64
-    }
-
-    /// Common neighbors of `u` and `v` via the epoch-stamped marker array —
-    /// the allocation-free path the motif kernel uses per edge, exposed so
-    /// tests can pin it against the sorted-merge reference
-    /// ([`Graph::common_neighbors`]). The returned slice is ascending and
-    /// valid until the next call on this workspace.
-    pub fn common_neighbors(&mut self, graph: &Graph, u: usize, v: usize) -> &[u32] {
-        self.prepare_markers(graph.n_vertices(), graph.n_edges());
-        self.epoch += 1;
-        for &x in graph.neighbors(u) {
-            self.marker[x as usize] = self.epoch;
-        }
-        self.common.clear();
-        for &w in graph.neighbors(v) {
-            if self.marker[w as usize] == self.epoch {
-                self.common.push(w);
-            }
-        }
-        &self.common
     }
 }
 
@@ -902,33 +880,6 @@ mod tests {
         edges.push((0, 8));
         let barbell = Graph::from_edges(16, edges);
         assert_eq!(count_motifs(&barbell), count_motifs_bruteforce(&barbell));
-    }
-
-    #[test]
-    fn marker_path_matches_sorted_merge_on_adversarial_graphs() {
-        // the per-edge marker-array common neighborhood must agree with the
-        // sorted-merge reference everywhere, including across graph switches
-        // on one reused workspace
-        let mut ws = MotifWorkspace::new();
-        for g in [star(10), clique(8), long_path(12)] {
-            for (u, v) in g.edges() {
-                assert_eq!(
-                    ws.common_neighbors(&g, u, v),
-                    g.common_neighbors(u, v).as_slice(),
-                    "edge ({u}, {v})"
-                );
-            }
-            // non-adjacent pairs exercise empty and large intersections too
-            for u in 0..g.n_vertices() {
-                for v in (u + 1)..g.n_vertices() {
-                    assert_eq!(
-                        ws.common_neighbors(&g, u, v),
-                        g.common_neighbors(u, v).as_slice(),
-                        "pair ({u}, {v})"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

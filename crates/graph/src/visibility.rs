@@ -190,7 +190,6 @@ pub fn horizontally_visible(values: &[f64], i: usize, j: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traversal::is_connected;
 
     fn brute_force(values: &[f64], horizontal: bool) -> Graph {
         let n = values.len();
@@ -342,9 +341,15 @@ mod tests {
 
     #[test]
     fn visibility_graphs_are_connected() {
+        // consecutive points always see each other, so both graphs contain
+        // the path 0–1–…–(n−1), which makes them connected
         let v = [5.0, 1.0, 4.0, 4.0, 2.0, 9.0, 0.0, 3.0];
-        assert!(is_connected(&visibility_graph(&v)));
-        assert!(is_connected(&horizontal_visibility_graph(&v)));
+        let vg = visibility_graph(&v);
+        let hvg = horizontal_visibility_graph(&v);
+        for i in 0..v.len() - 1 {
+            assert!(vg.has_edge(i, i + 1), "VG lacks {i}–{}", i + 1);
+            assert!(hvg.has_edge(i, i + 1), "HVG lacks {i}–{}", i + 1);
+        }
     }
 
     #[test]

@@ -8,7 +8,6 @@ use tsg_graph::graph::Graph;
 use tsg_graph::kcore::{core_numbers, core_numbers_naive};
 use tsg_graph::motifs::{count_motifs, count_motifs_bruteforce, count_motifs_with, MotifWorkspace};
 use tsg_graph::stats::density;
-use tsg_graph::traversal::is_connected;
 use tsg_graph::visibility::{
     horizontal_visibility_graph, horizontally_visible, naturally_visible, visibility_graph,
     visibility_graph_naive,
@@ -93,8 +92,13 @@ proptest! {
 
     #[test]
     fn visibility_graphs_are_connected(values in series_strategy(100)) {
-        prop_assert!(is_connected(&visibility_graph(&values)));
-        prop_assert!(is_connected(&horizontal_visibility_graph(&values)));
+        // both graphs contain the path 0–1–…–(n−1), so they are connected
+        let vg = visibility_graph(&values);
+        let hvg = horizontal_visibility_graph(&values);
+        for i in 0..values.len() - 1 {
+            prop_assert!(vg.has_edge(i, i + 1));
+            prop_assert!(hvg.has_edge(i, i + 1));
+        }
     }
 
     #[test]

@@ -100,27 +100,6 @@ impl FeatureMatrix {
         }
     }
 
-    /// Appends the columns of `other` to this matrix (horizontal stack).
-    pub fn hstack(&self, other: &FeatureMatrix) -> Result<FeatureMatrix> {
-        if self.n_rows != other.n_rows {
-            return Err(MlError::InvalidData(format!(
-                "cannot hstack {} rows with {} rows",
-                self.n_rows, other.n_rows
-            )));
-        }
-        let n_cols = self.n_cols + other.n_cols;
-        let mut data = Vec::with_capacity(self.n_rows * n_cols);
-        for i in 0..self.n_rows {
-            data.extend_from_slice(self.row(i));
-            data.extend_from_slice(other.row(i));
-        }
-        Ok(FeatureMatrix {
-            data,
-            n_rows: self.n_rows,
-            n_cols,
-        })
-    }
-
     /// Iterates over rows.
     pub fn rows(&self) -> impl Iterator<Item = &[f64]> {
         (0..self.n_rows).map(move |i| self.row(i))
@@ -239,17 +218,12 @@ mod tests {
     }
 
     #[test]
-    fn select_rows_and_hstack() {
+    fn select_rows_reorders() {
         let m =
             FeatureMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]).unwrap();
         let s = m.select_rows(&[2, 0]);
         assert_eq!(s.row(0), &[5.0, 6.0]);
         assert_eq!(s.row(1), &[1.0, 2.0]);
-        let h = m.hstack(&m).unwrap();
-        assert_eq!(h.n_cols(), 4);
-        assert_eq!(h.row(1), &[3.0, 4.0, 3.0, 4.0]);
-        let other = FeatureMatrix::from_rows(&[vec![0.0]]).unwrap();
-        assert!(m.hstack(&other).is_err());
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //! * [`svm`] — kernel SVM trained with SMO, one-vs-rest for multi-class.
 //! * [`logreg`] — multinomial logistic regression (used as the stacking
 //!   meta-learner).
-//! * [`knn`] — k-nearest-neighbour classification with pluggable distances.
 //! * [`metrics`] — accuracy, error rate, log-loss, confusion matrices.
 //! * [`model_selection`] — stratified k-fold cross-validation and grid
 //!   search driven by cross-entropy (equation 5).
@@ -29,7 +28,6 @@ pub mod data;
 pub mod error;
 pub mod forest;
 pub mod gbt;
-pub mod knn;
 pub mod logreg;
 pub mod metrics;
 pub mod model_selection;
@@ -44,7 +42,6 @@ pub use data::{FeatureMatrix, StratifiedKFold};
 pub use error::MlError;
 pub use forest::{RandomForest, RandomForestParams};
 pub use gbt::{GradientBoosting, GradientBoostingParams};
-pub use knn::KnnClassifier;
 pub use logreg::{LogisticRegression, LogisticRegressionParams};
 pub use metrics::{accuracy, error_rate, log_loss};
 pub use model_selection::{cross_val_log_loss, GridSearch};

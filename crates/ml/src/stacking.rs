@@ -240,8 +240,8 @@ impl Classifier for StackingEnsemble {
 mod tests {
     use super::*;
     use crate::gbt::{GradientBoosting, GradientBoostingParams};
-    use crate::knn::KnnClassifier;
     use crate::metrics::accuracy;
+    use crate::svm::{SvmClassifier, SvmKernel, SvmParams};
     use crate::tree::{DecisionTree, DecisionTreeParams};
 
     fn dataset() -> (FeatureMatrix, Vec<usize>) {
@@ -286,8 +286,14 @@ mod tests {
             }),
         );
         ens.add_candidate(
-            "knn",
-            Box::new(|| Box::new(KnnClassifier::new(3)) as Box<dyn Classifier>),
+            "svm",
+            Box::new(|| {
+                Box::new(SvmClassifier::new(SvmParams {
+                    kernel: SvmKernel::Rbf { gamma: 0.5 },
+                    seed: 1,
+                    ..Default::default()
+                })) as Box<dyn Classifier>
+            }),
         );
         ens.add_candidate(
             "stump",

@@ -777,6 +777,42 @@ mod tests {
     }
 
     #[test]
+    fn format_v1_snapshot_is_counted_skipped_and_refit() {
+        static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "tsg-registry-v1-{}-{}",
+            std::process::id(),
+            DIR_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        // a v1 file holding a model that would restore if v1 were still read
+        let fitted = registry();
+        let info = fitted
+            .fit("legacy", catalogue_source(), "uvg-fast", 3)
+            .unwrap();
+        let payload = fitted
+            .get("legacy")
+            .unwrap()
+            .classifier()
+            .snapshot_bytes()
+            .unwrap();
+        let path = crate::snapshot::snapshot_path(&dir, "legacy");
+        let v1 = crate::snapshot::tests::v1_snapshot_bytes(&info, 3, &payload);
+        std::fs::write(&path, v1).unwrap();
+
+        let metrics = Arc::new(ServerMetrics::default());
+        let mut r = ModelRegistry::new(1, BatchConfig::default(), Arc::clone(&metrics)).unwrap();
+        r.set_snapshot_dir(dir.clone());
+        assert_eq!(r.warm_restart(), 0);
+        assert_eq!(metrics.snapshot_load_failures_total.get(), 1);
+        assert!(r.get("legacy").is_err());
+        // the model is refit on demand, and the refit replaces the v1 file
+        r.fit("legacy", catalogue_source(), "uvg-fast", 3).unwrap();
+        assert!(crate::snapshot::read_snapshot(&path).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn pruned_fit_error_paths_do_not_register_a_model() {
         let r = registry();
         assert!(matches!(

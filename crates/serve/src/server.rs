@@ -416,6 +416,80 @@ fn parse_training_set(train: &Json, name: &str) -> Result<Dataset, String> {
     }
 }
 
+/// An optional body field of one JSON type: absent is `Ok(None)`, so the
+/// caller's default applies; present with another type is a 400 naming the
+/// field, never a silent default.
+fn typed_field<'a, T>(
+    body: &'a Json,
+    key: &str,
+    expected: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<Option<T>, Response> {
+    match body.get(key) {
+        None => Ok(None),
+        Some(value) => read(value)
+            .map(Some)
+            .ok_or_else(|| Response::error(400, &format!("`{key}` must be {expected}"))),
+    }
+}
+
+/// The validated fields of a fit body.
+struct FitRequest {
+    config_name: String,
+    seed: u64,
+    prune: Option<usize>,
+    source: TrainingSource,
+}
+
+/// Reads a fit body. Invalid fields are rejected, never silently replaced
+/// by defaults: a model fitted under the wrong preset, seed or budget looks
+/// healthy.
+fn parse_fit_request(body: &Json, state: &ServerState, name: &str) -> Result<FitRequest, Response> {
+    const COUNT: &str = "a non-negative integer";
+    let config_name = typed_field(body, "config", "a string naming a preset", Json::as_str)?
+        .unwrap_or("fast")
+        .to_string();
+    let seed = typed_field(body, "seed", "a whole number below 2^53", Json::as_u64)?
+        .unwrap_or(state.archive.seed);
+    // optional importance-driven pruning: fit the preset wide, keep only
+    // the top-k features, refit and serve the pruned model
+    let prune = typed_field(body, "prune", COUNT, Json::as_usize)?;
+    if prune == Some(0) {
+        return Err(Response::error(400, "`prune` must be at least 1"));
+    }
+    let dataset = typed_field(body, "dataset", "a string naming a dataset", Json::as_str)?;
+    let source = if let Some(dataset) = dataset {
+        let mut options = state.archive;
+        options.seed = seed;
+        if let Some(n) = typed_field(body, "max_instances", COUNT, Json::as_usize)? {
+            options.max_train = n;
+            options.max_test = n;
+        }
+        if let Some(n) = typed_field(body, "max_length", COUNT, Json::as_usize)? {
+            options.max_length = n;
+        }
+        TrainingSource::Catalogue {
+            dataset: dataset.to_string(),
+            options,
+        }
+    } else if let Some(train) = body.get("train") {
+        TrainingSource::Inline(
+            parse_training_set(train, name).map_err(|e| Response::error(400, &e))?,
+        )
+    } else {
+        return Err(Response::error(
+            400,
+            "fit request needs `dataset` or `train`",
+        ));
+    };
+    Ok(FitRequest {
+        config_name,
+        seed,
+        prune,
+        source,
+    })
+}
+
 /// `POST /models/{name}/fit` — parsing and validation happen inline (cheap);
 /// the fit itself is queued to the ops worker so a multi-second training run
 /// never blocks the event loop.
@@ -430,73 +504,14 @@ fn fit_model(
         Ok(b) => b,
         Err(e) => return Routed::Immediate(Response::error(400, &e)),
     };
-    let config_name = body
-        .get("config")
-        .and_then(|c| c.as_str())
-        .unwrap_or("fast")
-        .to_string();
-    // invalid numeric fields are rejected, never silently replaced by
-    // defaults — a model fitted under the wrong seed/budget looks healthy
-    let seed = match body.get("seed") {
-        None => state.archive.seed,
-        Some(s) => match s.as_u64() {
-            Some(seed) => seed,
-            None => {
-                return Routed::Immediate(Response::error(
-                    400,
-                    "`seed` must be a whole number below 2^53",
-                ))
-            }
-        },
-    };
-    let numeric_field = |key: &str| -> Result<Option<usize>, Response> {
-        match body.get(key) {
-            None => Ok(None),
-            Some(v) => v.as_usize().map(Some).ok_or_else(|| {
-                Response::error(400, &format!("`{key}` must be a non-negative integer"))
-            }),
-        }
-    };
-    // optional importance-driven pruning: fit the preset wide, keep only
-    // the top-k features, refit and serve the pruned model
-    let prune = match numeric_field("prune") {
-        Ok(None) => None,
-        Ok(Some(0)) => {
-            return Routed::Immediate(Response::error(400, "`prune` must be at least 1"))
-        }
-        Ok(Some(k)) => Some(k),
+    let FitRequest {
+        config_name,
+        seed,
+        prune,
+        source,
+    } = match parse_fit_request(&body, state, name) {
+        Ok(fit) => fit,
         Err(response) => return Routed::Immediate(response),
-    };
-    let source = if let Some(dataset) = body.get("dataset").and_then(|d| d.as_str()) {
-        let mut options = state.archive;
-        options.seed = seed;
-        match numeric_field("max_instances") {
-            Ok(Some(n)) => {
-                options.max_train = n;
-                options.max_test = n;
-            }
-            Ok(None) => {}
-            Err(response) => return Routed::Immediate(response),
-        }
-        match numeric_field("max_length") {
-            Ok(Some(n)) => options.max_length = n,
-            Ok(None) => {}
-            Err(response) => return Routed::Immediate(response),
-        }
-        TrainingSource::Catalogue {
-            dataset: dataset.to_string(),
-            options,
-        }
-    } else if let Some(train) = body.get("train") {
-        match parse_training_set(train, name) {
-            Ok(dataset) => TrainingSource::Inline(dataset),
-            Err(e) => return Routed::Immediate(Response::error(400, &e)),
-        }
-    } else {
-        return Routed::Immediate(Response::error(
-            400,
-            "fit request needs `dataset` or `train`",
-        ));
     };
 
     let state = Arc::clone(state);
@@ -600,13 +615,13 @@ fn classify(request: &Request, state: &Arc<ServerState>, name: &str, ctx: AsyncC
     // version pinning: a client that resolved model metadata before a refit
     // can demand exactly that model and learn about the swap via 409 instead
     // of silently getting different predictions
-    if let Some(pin) = body.get("version") {
-        let Some(pin) = pin.as_u64() else {
-            return Routed::Immediate(Response::error(
-                400,
-                "`version` must be a whole number below 2^53",
-            ));
-        };
+    let pin = typed_field(&body, "version", "a whole number below 2^53", Json::as_u64);
+    let want_proba = typed_field(&body, "proba", "a boolean", Json::as_bool);
+    let (pin, want_proba) = match (pin, want_proba) {
+        (Ok(pin), Ok(want_proba)) => (pin, want_proba.unwrap_or(false)),
+        (Err(response), _) | (_, Err(response)) => return Routed::Immediate(response),
+    };
+    if let Some(pin) = pin {
         if pin != entry.info.version {
             return Routed::Immediate(Response::error(
                 409,
@@ -626,7 +641,6 @@ fn classify(request: &Request, state: &Arc<ServerState>, name: &str, ctx: AsyncC
             ))
         }
     };
-    let want_proba = body.get("proba").and_then(|p| p.as_bool()).unwrap_or(false);
     let mut series = Vec::with_capacity(items.len());
     for item in items {
         match parse_series(item, false) {

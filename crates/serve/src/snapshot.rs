@@ -11,15 +11,15 @@
 //! version  u32 = 2                         little-endian
 //! seed     u64                             fit seed (rebuilds the config)
 //! info     ModelInfo fields                length-prefixed strings, f64 bits
-//! features u8 flag [+ u32 count + strings] v2 only: pruned feature subset
+//! features u8 flag [+ u32 count + strings] pruned feature subset
 //! payload  u32-length-prefixed blob        MvgClassifier::snapshot_bytes
 //! hash     u64 FNV-1a                      over every byte above
 //! ```
 //!
 //! Format v2 appended the optional `features` field (the importance-selected
-//! subset a pruned model extracts). Readers still accept v1 files — they
-//! simply carry no feature list — so snapshots written before the catalogue
-//! landed keep restoring across the upgrade.
+//! subset a pruned model extracts). Readers accept v2 only: a v1 file
+//! (written before the catalogue landed) is refused as an unsupported
+//! format version, which a warm restart counts, skips and refits.
 //!
 //! Readers verify magic, version and the content hash before touching the
 //! payload, and the payload itself re-verifies its config fingerprint and
@@ -41,11 +41,8 @@ use tsg_ts::hash::Fnv1a;
 const MAGIC: &[u8; 8] = b"TSGSNAP1";
 
 /// Layout version under the magic; bump on any field change. v1 had no
-/// `features` field; [`read_snapshot`] accepts both generations.
+/// `features` field; [`read_snapshot`] accepts this version only.
 const FORMAT_VERSION: u32 = 2;
-
-/// The previous layout (no `features` field), still readable.
-const FORMAT_VERSION_V1: u32 = 1;
 
 /// Installs tried per snapshot: one transient write fault must not cost the
 /// model its warm restart.
@@ -189,7 +186,7 @@ pub(crate) fn read_snapshot(path: &Path) -> io::Result<(ModelInfo, u64, Vec<u8>)
         return Err(corrupt("content hash mismatch (torn or corrupt file)"));
     }
     let version = r.u32().ok_or_else(|| corrupt("truncated version"))?;
-    if version != FORMAT_VERSION && version != FORMAT_VERSION_V1 {
+    if version != FORMAT_VERSION {
         return Err(corrupt("unsupported format version"));
     }
     let truncated = || corrupt("truncated field");
@@ -207,21 +204,17 @@ pub(crate) fn read_snapshot(path: &Path) -> io::Result<(ModelInfo, u64, Vec<u8>)
     let n_features = r.u64().ok_or_else(truncated)? as usize;
     let fit_seconds = r.f64().ok_or_else(truncated)?;
     let provenance = r.str().ok_or_else(truncated)?;
-    let features = if version >= 2 {
-        match r.u8().ok_or_else(truncated)? {
-            0 => None,
-            1 => {
-                let count = r.u32().ok_or_else(truncated)? as usize;
-                let mut names = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    names.push(r.str().ok_or_else(truncated)?);
-                }
-                Some(names)
+    let features = match r.u8().ok_or_else(truncated)? {
+        0 => None,
+        1 => {
+            let count = r.u32().ok_or_else(truncated)? as usize;
+            let mut names = Vec::with_capacity(count.min(4096));
+            for _ in 0..count {
+                names.push(r.str().ok_or_else(truncated)?);
             }
-            _ => return Err(corrupt("bad features flag")),
+            Some(names)
         }
-    } else {
-        None // v1 predates pruning: full-catalogue model
+        _ => return Err(corrupt("bad features flag")),
     };
     let payload = r.blob().ok_or_else(truncated)?.to_vec();
     if !r.is_empty() {
@@ -243,7 +236,7 @@ pub(crate) fn read_snapshot(path: &Path) -> io::Result<(ModelInfo, u64, Vec<u8>)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn sample_info() -> ModelInfo {
@@ -312,39 +305,52 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    // A format-v1 file (written before the `features` field existed) must
-    // still read back, with `features: None`. The bytes are hand-assembled
-    // to the exact v1 layout — this is the compatibility contract.
-    #[test]
-    fn format_v1_snapshots_still_load_without_features() {
-        let dir = temp_dir("v1-compat");
-        let payload = vec![3u8, 1, 4, 1, 5];
+    /// A well-formed format-v1 file (written before the `features` field
+    /// existed), hand-assembled to the exact v1 layout with a valid hash.
+    pub(crate) fn v1_snapshot_bytes(info: &ModelInfo, seed: u64, payload: &[u8]) -> Vec<u8> {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
-        put_u32(&mut bytes, FORMAT_VERSION_V1);
-        put_u64(&mut bytes, 9); // seed
-        put_str(&mut bytes, "legacy");
-        put_u64(&mut bytes, 7); // model version
-        put_u8(&mut bytes, 1);
-        put_str(&mut bytes, "BeetleFly");
-        put_str(&mut bytes, "uvg-fast");
-        put_u64(&mut bytes, 16); // n_train
-        put_u64(&mut bytes, 2); // n_classes
-        put_u64(&mut bytes, 27); // n_features
-        put_f64(&mut bytes, 0.5);
-        put_str(&mut bytes, "cached");
+        put_u32(&mut bytes, 1);
+        put_u64(&mut bytes, seed);
+        put_str(&mut bytes, &info.name);
+        put_u64(&mut bytes, info.version);
+        match &info.dataset {
+            None => put_u8(&mut bytes, 0),
+            Some(dataset) => {
+                put_u8(&mut bytes, 1);
+                put_str(&mut bytes, dataset);
+            }
+        }
+        put_str(&mut bytes, &info.config);
+        put_u64(&mut bytes, info.n_train as u64);
+        put_u64(&mut bytes, info.n_classes as u64);
+        put_u64(&mut bytes, info.n_features as u64);
+        put_f64(&mut bytes, info.fit_seconds);
+        put_str(&mut bytes, &info.provenance);
         // v1 ends here: no features flag before the payload
-        put_blob(&mut bytes, &payload);
+        put_blob(&mut bytes, payload);
         let hash = Fnv1a::hash(&bytes);
         put_u64(&mut bytes, hash);
+        bytes
+    }
+
+    // an intact v1 file (magic and hash check out) is refused by its
+    // version, so the caller refits
+    #[test]
+    fn format_v1_snapshots_are_refused() {
+        let dir = temp_dir("v1-refused");
         let path = dir.join("legacy.snap");
-        std::fs::write(&path, &bytes).unwrap();
-        let (info, seed, body) = read_snapshot(&path).unwrap();
-        assert_eq!(info.name, "legacy");
-        assert_eq!(info.version, 7);
-        assert_eq!(info.features, None, "v1 carries no feature list");
-        assert_eq!(seed, 9);
-        assert_eq!(body, payload);
+        std::fs::write(
+            &path,
+            v1_snapshot_bytes(&sample_info(), 9, &[3, 1, 4, 1, 5]),
+        )
+        .unwrap();
+        let err = read_snapshot(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("unsupported format version"),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -729,6 +729,90 @@ fn invalid_requests_are_rejected_not_fatal() {
     server_handle.join().expect("server thread panicked");
 }
 
+/// Posts `body` to `path` and returns its status and error message.
+fn error_of(client: &mut Client, path: &str, body: &Json) -> (u16, String) {
+    let (status, reply) = client.call("POST", path, Some(body));
+    let message = reply
+        .get("error")
+        .and_then(|e| e.as_str())
+        .unwrap_or_default();
+    (status, message.to_string())
+}
+
+#[test]
+fn wrong_typed_proba_is_a_400_naming_the_field() {
+    let (addr, server_handle) = start_server();
+    let mut client = Client::connect(&addr);
+    let fit = Json::obj(vec![
+        ("dataset", Json::Str(DATASET.into())),
+        ("config", Json::Str(CONFIG.into())),
+        ("max_instances", Json::Num(8.0)),
+        ("max_length", Json::Num(64.0)),
+    ]);
+    let (status, reply) = client.call("POST", "/models/m/fit", Some(&fit));
+    assert_eq!(status, 200, "{reply}");
+    let series = Json::parse("[[1, 2, 3, 2, 1, 2, 3, 2]]").unwrap();
+    for proba in [Json::Str("yes".into()), Json::Num(1.0), Json::Null] {
+        let body = Json::obj(vec![("series", series.clone()), ("proba", proba.clone())]);
+        let (status, message) = error_of(&mut client, "/models/m/classify", &body);
+        assert_eq!(status, 400, "`proba`: {proba} got {status}");
+        assert!(message.contains("`proba`"), "{message}");
+    }
+    // an absent field keeps its default, and a boolean is honoured
+    let (status, reply) = client.call(
+        "POST",
+        "/models/m/classify",
+        Some(&Json::obj(vec![("series", series.clone())])),
+    );
+    assert_eq!(status, 200, "{reply}");
+    assert!(reply.get("probabilities").is_none());
+    let body = Json::obj(vec![("series", series), ("proba", Json::Bool(true))]);
+    let (status, reply) = client.call("POST", "/models/m/classify", Some(&body));
+    assert_eq!(status, 200, "{reply}");
+    assert!(reply.get("probabilities").is_some());
+    let (status, _) = client.call("POST", "/shutdown", None);
+    assert_eq!(status, 200);
+    server_handle.join().expect("server thread panicked");
+}
+
+#[test]
+fn wrong_typed_config_is_a_400_naming_the_field() {
+    let (addr, server_handle) = start_server();
+    let mut client = Client::connect(&addr);
+    // a number is not a preset name: it must not fit the default preset
+    let fit = Json::obj(vec![
+        ("dataset", Json::Str(DATASET.into())),
+        ("config", Json::Num(5.0)),
+        ("max_instances", Json::Num(8.0)),
+        ("max_length", Json::Num(64.0)),
+    ]);
+    let (status, message) = error_of(&mut client, "/models/m/fit", &fit);
+    assert_eq!(status, 400, "{message}");
+    assert!(message.contains("`config`"), "{message}");
+    let (status, models) = client.call("GET", "/models", None);
+    assert_eq!(status, 200);
+    assert_eq!(models.get("models").unwrap().as_array().unwrap().len(), 0);
+    let (status, _) = client.call("POST", "/shutdown", None);
+    assert_eq!(status, 200);
+    server_handle.join().expect("server thread panicked");
+}
+
+#[test]
+fn wrong_typed_dataset_is_a_400_naming_the_field() {
+    let (addr, server_handle) = start_server();
+    let mut client = Client::connect(&addr);
+    let fit = Json::obj(vec![
+        ("dataset", Json::Num(5.0)),
+        ("config", Json::Str(CONFIG.into())),
+    ]);
+    let (status, message) = error_of(&mut client, "/models/m/fit", &fit);
+    assert_eq!(status, 400, "{message}");
+    assert!(message.contains("`dataset` must be"), "{message}");
+    let (status, _) = client.call("POST", "/shutdown", None);
+    assert_eq!(status, 200);
+    server_handle.join().expect("server thread panicked");
+}
+
 /// A labelled inline training series.
 fn labelled(values: impl IntoIterator<Item = f64>, label: u64) -> Json {
     Json::obj(vec![
@@ -743,12 +827,7 @@ fn inline_fit(client: &mut Client, config: &str, series: Vec<Json>) -> (u16, Str
         ("config", Json::Str(config.into())),
         ("train", Json::obj(vec![("series", Json::Arr(series))])),
     ]);
-    let (status, reply) = client.call("POST", "/models/inline/fit", Some(&body));
-    let message = reply
-        .get("error")
-        .and_then(|e| e.as_str())
-        .unwrap_or_default();
-    (status, message.to_string())
+    error_of(client, "/models/inline/fit", &body)
 }
 
 #[test]
@@ -919,6 +998,39 @@ fn metric_names(text: &str) -> Vec<String> {
     names
 }
 
+/// Every sample name `/metrics` exposes, sorted.
+const PINNED_METRIC_NAMES: [&str; 29] = [
+    "tsg_serve_batch_size_bucket",
+    "tsg_serve_batch_size_count",
+    "tsg_serve_batch_size_sum",
+    "tsg_serve_classify_batches_total",
+    "tsg_serve_classify_latency_seconds_bucket",
+    "tsg_serve_classify_latency_seconds_count",
+    "tsg_serve_classify_latency_seconds_sum",
+    "tsg_serve_classify_rejected_total",
+    "tsg_serve_classify_requests_total",
+    "tsg_serve_classify_series_total",
+    "tsg_serve_connections_accepted_total",
+    "tsg_serve_connections_open",
+    "tsg_serve_connections_reset_total",
+    "tsg_serve_faults_injected_total",
+    "tsg_serve_models",
+    "tsg_serve_models_fitted_total",
+    "tsg_serve_request_latency_seconds_bucket",
+    "tsg_serve_request_latency_seconds_count",
+    "tsg_serve_request_latency_seconds_sum",
+    "tsg_serve_requests_shed_total",
+    "tsg_serve_requests_total",
+    "tsg_serve_responses_2xx_total",
+    "tsg_serve_responses_4xx_total",
+    "tsg_serve_responses_5xx_total",
+    "tsg_serve_snapshot_load_failures_total",
+    "tsg_serve_stage_seconds_bucket",
+    "tsg_serve_stage_seconds_count",
+    "tsg_serve_stage_seconds_sum",
+    "tsg_serve_uptime_seconds",
+];
+
 #[test]
 fn metrics_name_set_is_pinned() {
     let (addr, server_handle) = start_server();
@@ -943,37 +1055,7 @@ fn metrics_name_set_is_pinned() {
     let (status, body) = tsg_serve::http::read_response(&mut client.reader).unwrap();
     assert_eq!(status, 200);
     let names = metric_names(&String::from_utf8(body).unwrap());
-    let expected = [
-        "tsg_serve_batch_size_bucket",
-        "tsg_serve_batch_size_count",
-        "tsg_serve_batch_size_sum",
-        "tsg_serve_classify_batches_total",
-        "tsg_serve_classify_latency_seconds_bucket",
-        "tsg_serve_classify_latency_seconds_count",
-        "tsg_serve_classify_latency_seconds_sum",
-        "tsg_serve_classify_rejected_total",
-        "tsg_serve_classify_requests_total",
-        "tsg_serve_classify_series_total",
-        "tsg_serve_connections_accepted_total",
-        "tsg_serve_connections_open",
-        "tsg_serve_connections_reset_total",
-        "tsg_serve_faults_injected_total",
-        "tsg_serve_models",
-        "tsg_serve_models_fitted_total",
-        "tsg_serve_request_latency_seconds_bucket",
-        "tsg_serve_request_latency_seconds_count",
-        "tsg_serve_request_latency_seconds_sum",
-        "tsg_serve_requests_shed_total",
-        "tsg_serve_requests_total",
-        "tsg_serve_responses_2xx_total",
-        "tsg_serve_responses_4xx_total",
-        "tsg_serve_responses_5xx_total",
-        "tsg_serve_snapshot_load_failures_total",
-        "tsg_serve_stage_seconds_bucket",
-        "tsg_serve_stage_seconds_count",
-        "tsg_serve_stage_seconds_sum",
-        "tsg_serve_uptime_seconds",
-    ];
+    let expected = PINNED_METRIC_NAMES;
     assert_eq!(
         names, expected,
         "a /metrics name disappeared or was renamed"
@@ -982,4 +1064,20 @@ fn metrics_name_set_is_pinned() {
     let (status, _) = client.call("POST", "/shutdown", None);
     assert_eq!(status, 200);
     server_handle.join().expect("server thread panicked");
+}
+
+#[test]
+fn every_pinned_metric_family_is_documented() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/observability.md");
+    let doc = std::fs::read_to_string(path).expect("read docs/observability.md");
+    for name in PINNED_METRIC_NAMES {
+        let family = ["_bucket", "_count", "_sum"]
+            .iter()
+            .find_map(|suffix| name.strip_suffix(suffix))
+            .unwrap_or(name);
+        assert!(
+            doc.contains(&format!("| `{family}` |")),
+            "/metrics family `{family}` has no row in docs/observability.md"
+        );
+    }
 }

@@ -12,7 +12,7 @@ use crate::error::TsError;
 use crate::Result;
 
 /// Squared Euclidean distance between two equal-length slices.
-pub fn squared_euclidean(a: &[f64], b: &[f64]) -> Result<f64> {
+fn squared_euclidean(a: &[f64], b: &[f64]) -> Result<f64> {
     if a.len() != b.len() {
         return Err(TsError::LengthMismatch {
             left: a.len(),
@@ -46,7 +46,7 @@ impl DtwOptions {
 
     /// DTW with a Sakoe–Chiba band expressed as a fraction of series length
     /// (e.g. `0.1` for a 10 % warping window).
-    pub fn with_window(fraction: f64) -> Self {
+    fn with_window(fraction: f64) -> Self {
         DtwOptions {
             window_fraction: Some(fraction),
             early_abandon: None,

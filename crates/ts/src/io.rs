@@ -26,10 +26,10 @@
 //!   float formatting guarantee), so a write→read cycle never perturbs
 //!   feature extraction downstream.
 //!
-//! Parsing is incremental: [`UcrRecordParser`] consumes one line at a time
-//! and is the single implementation behind [`parse_ucr`], [`read_ucr_file`]
-//! and the split reader in `tsg_datasets::source`, so they can never
-//! disagree.
+//! Parsing is line by line: a [`UcrRecordParser`] consumes one line at a
+//! time and is the single implementation behind [`parse_ucr`],
+//! [`read_ucr_file`] and the split reader in `tsg_datasets::source`, so
+//! they can never disagree.
 
 use crate::error::TsError;
 use crate::series::{Dataset, TimeSeries};
@@ -55,12 +55,10 @@ impl UcrSeparator {
     }
 }
 
-/// Incremental parser for UCR-format records.
+/// Line-by-line parser state for one UCR-format file.
 ///
-/// Feed physical lines in file order via [`UcrRecordParser::parse_line`];
-/// each call yields `Ok(Some(series))` for a record, `Ok(None)` for a blank
-/// line, or a [`TsError::Parse`] describing the malformed input. Call
-/// [`UcrRecordParser::finish`] after the last line to reject files with no
+/// [`parse_ucr_with`] feeds it the file's physical lines in order; a
+/// malformed line is a [`TsError::Parse`], and so is a file with no
 /// records. The parser carries the label-remapping table and the pinned
 /// field count across lines.
 #[derive(Debug, Clone, Default)]
@@ -102,7 +100,7 @@ impl UcrRecordParser {
     /// (with trailing `NaN` padding stripped), and `Err` for malformed
     /// input: ragged rows, non-numeric tokens, interior `NaN`, infinite
     /// values, or records that are entirely padding.
-    pub fn parse_line(&mut self, lineno: usize, line: &str) -> Result<Option<TimeSeries>> {
+    fn parse_line(&mut self, lineno: usize, line: &str) -> Result<Option<TimeSeries>> {
         let line = line.trim();
         if line.is_empty() {
             return Ok(None);
@@ -197,7 +195,7 @@ impl UcrRecordParser {
     }
 
     /// Final validation: a UCR file must contain at least one record.
-    pub fn finish(&self) -> Result<()> {
+    fn finish(&self) -> Result<()> {
         if self.records == 0 {
             return Err(TsError::Parse {
                 line: 1,
@@ -220,8 +218,7 @@ pub fn parse_ucr(content: &str, name: impl Into<String>) -> Result<Dataset> {
 /// [`parse_ucr`] driving a caller-supplied parser — typically one created
 /// with [`UcrRecordParser::seeded`] so a `_TEST` file reuses its `_TRAIN`
 /// file's label table. Use one parser per file: the uniform-field-count pin
-/// (and the no-records check in [`UcrRecordParser::finish`]) are per-file
-/// state.
+/// (and the no-records check) are per-file state.
 pub fn parse_ucr_with(
     parser: &mut UcrRecordParser,
     content: &str,

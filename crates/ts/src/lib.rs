@@ -13,8 +13,8 @@
 //! * [`distance`] — Euclidean and Dynamic Time Warping distances, including a
 //!   Sakoe–Chiba band, the `LB_Keogh` lower bound and early abandoning, used
 //!   by the 1NN baselines.
-//! * [`sax`] — Symbolic Aggregate approXimation, required by the SAX-VSM,
-//!   Bag-of-Patterns and Fast Shapelets baselines.
+//! * [`sax`] — Symbolic Aggregate approXimation, required by the SAX-VSM
+//!   baseline.
 //! * [`generators`] — seeded synthetic series generators (noise, chaotic
 //!   logistic maps, pulse trains, …) used to build the
 //!   synthetic stand-in for the UCR archive.

@@ -39,6 +39,21 @@ impl MultiscaleOptions {
             ..Default::default()
         }
     }
+
+    /// Number of PAA halvings the cascade takes from a series of `len`
+    /// points: it halves while the next scale stays longer than `τ` (and
+    /// the current one has at least 2 points), up to `max_scales` times.
+    /// The one stop rule behind the cascade, scale counting and feature
+    /// naming.
+    pub fn halvings(&self, len: usize) -> usize {
+        let mut halvings = 0usize;
+        let mut current = len;
+        while current / 2 > self.tau && current >= 2 && halvings < self.max_scales {
+            current /= 2;
+            halvings += 1;
+        }
+        halvings
+    }
 }
 
 /// The multiscale representation of one series: the original plus its
@@ -64,25 +79,20 @@ impl MultiscaleRepresentation {
 
 /// Computes the approximated multiscale representation `{T1, …, Tm}` of
 /// Definition 3.1: successive halvings by PAA until the next scale would be
-/// `≤ τ` points long.
+/// `≤ τ` points long ([`MultiscaleOptions::halvings`]).
 pub fn multiscale_approximations(
     series: &TimeSeries,
     options: MultiscaleOptions,
 ) -> Result<Vec<TimeSeries>> {
-    let mut out = Vec::new();
-    let mut current = series.values().to_vec();
-    let label = series.label();
-    let mut scale = 0usize;
-    while current.len() / 2 > options.tau && current.len() >= 2 && scale < options.max_scales {
-        let target = current.len() / 2;
-        let reduced = paa(&current, target)?;
-        current = reduced.clone();
-        let mut t = TimeSeries::new(reduced);
-        if let Some(l) = label {
+    let halvings = options.halvings(series.len());
+    let mut out: Vec<TimeSeries> = Vec::with_capacity(halvings);
+    for _ in 0..halvings {
+        let current = out.last().map_or(series.values(), |t| t.values());
+        let mut t = TimeSeries::new(paa(current, current.len() / 2)?);
+        if let Some(l) = series.label() {
             t.set_label(l);
         }
         out.push(t);
-        scale += 1;
     }
     Ok(out)
 }

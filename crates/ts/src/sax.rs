@@ -3,8 +3,7 @@
 //! SAX converts a real-valued series into a short word over a small alphabet:
 //! the series is z-normalised, reduced with PAA, and each segment mean is
 //! mapped to a symbol via breakpoints that equi-partition the standard normal
-//! distribution. The SAX-VSM, Bag-of-Patterns and Fast Shapelets baselines
-//! all build on this transform.
+//! distribution. The SAX-VSM baseline builds on this transform.
 
 use crate::error::TsError;
 use crate::paa::paa;
@@ -53,7 +52,7 @@ impl Default for SaxParams {
 /// Returns `a - 1` ordered breakpoints. Values are precomputed for small
 /// cardinalities (as is standard in the SAX literature) and computed by an
 /// inverse-normal approximation otherwise.
-pub fn gaussian_breakpoints(a: usize) -> Vec<f64> {
+fn gaussian_breakpoints(a: usize) -> Vec<f64> {
     match a {
         0 | 1 => Vec::new(),
         2 => vec![0.0],
@@ -73,7 +72,7 @@ pub fn gaussian_breakpoints(a: usize) -> Vec<f64> {
 
 /// Acklam-style rational approximation of the standard normal quantile
 /// function, accurate to roughly 1e-9 over (0, 1).
-pub fn inverse_normal_cdf(p: f64) -> f64 {
+fn inverse_normal_cdf(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "quantile requires p in (0,1)");
     // Coefficients from Peter Acklam's algorithm.
     const A: [f64; 6] = [

@@ -43,7 +43,7 @@ impl TimeSeries {
     }
 
     /// Mutable access to the values (used by preprocessing).
-    pub fn values_mut(&mut self) -> &mut Vec<f64> {
+    fn values_mut(&mut self) -> &mut Vec<f64> {
         &mut self.values
     }
 

@@ -32,31 +32,6 @@ pub fn max(xs: &[f64]) -> Option<f64> {
     xs.iter().cloned().reduce(f64::max)
 }
 
-/// Pearson correlation coefficient between two equal-length slices.
-///
-/// Returns `0.0` when either side has zero variance (the convention used for
-/// degenerate assortativity computations).
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "pearson requires equal-length slices");
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mx = mean(xs);
-    let my = mean(ys);
-    let mut num = 0.0;
-    let mut dx = 0.0;
-    let mut dy = 0.0;
-    for (x, y) in xs.iter().zip(ys.iter()) {
-        num += (x - mx) * (y - my);
-        dx += (x - mx) * (x - mx);
-        dy += (y - my) * (y - my);
-    }
-    if dx <= 1e-300 || dy <= 1e-300 {
-        return 0.0;
-    }
-    num / (dx.sqrt() * dy.sqrt())
-}
-
 /// Sorts a slice ascending in place (a stable sort; NaN compares equal to
 /// everything), ready for [`median_of_sorted`] and [`quantile_of_sorted`].
 pub fn sort_ascending(xs: &mut [f64]) {
@@ -122,22 +97,6 @@ mod tests {
         assert_eq!(min(&xs), Some(-1.0));
         assert_eq!(max(&xs), Some(3.0));
         assert_eq!(min(&[]), None);
-    }
-
-    #[test]
-    fn pearson_perfectly_correlated() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let ys = [2.0, 4.0, 6.0, 8.0];
-        assert!((pearson(&xs, &ys) - 1.0).abs() < 1e-12);
-        let neg: Vec<f64> = ys.iter().map(|y| -y).collect();
-        assert!((pearson(&xs, &neg) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_degenerate_is_zero() {
-        let xs = [1.0, 1.0, 1.0];
-        let ys = [2.0, 3.0, 4.0];
-        assert_eq!(pearson(&xs, &ys), 0.0);
     }
 
     #[test]

@@ -9,16 +9,15 @@
 //! * [`graph`] — graph substrate (visibility graphs, graphlet counting,
 //!   k-core, assortativity).
 //! * [`ml`] — generic classifiers (gradient boosting, random forest, SVM,
-//!   kNN, logistic regression), cross-validation, grid search, stacking.
+//!   logistic regression), cross-validation, grid search, stacking.
 //! * [`mvg`] — the paper's contribution: UVG/AMVG/MVG feature extraction and
 //!   the end-to-end [`mvg::MvgClassifier`].
-//! * [`baselines`] — 1NN-ED, 1NN-DTW, Fast Shapelets, Learning Shapelets,
-//!   SAX-VSM, Bag-of-Patterns.
+//! * [`baselines`] — the five baselines of Table 3: 1NN-ED, 1NN-DTW,
+//!   SAX-VSM, Fast Shapelets and Learning Shapelets.
 //! * [`datasets`] — the synthetic stand-in for the UCR archive, unified with
-//!   real UCR directory trees behind the lazy, streaming
-//!   [`datasets::DatasetSource`] resolver (instance-at-a-time
-//!   split streams, per-split provenance; set `TSG_UCR_DIR` to run against
-//!   the real archive).
+//!   real UCR directory trees behind the [`datasets::DatasetSource`]
+//!   resolver (eager splits with per-split provenance; set `TSG_UCR_DIR`
+//!   to run against the real archive).
 //! * [`eval`] — Wilcoxon / Friedman–Nemenyi tests, ranks, scatter and table
 //!   helpers used by the experiment binaries.
 //! * [`serve`] — the batching classification server: model registry,

@@ -167,8 +167,11 @@ fn visibility_invariants_hold_on_archive_series() {
         let vg = visibility_graph(series.values());
         let hvg = horizontal_visibility_graph(series.values());
         assert!(hvg.is_subgraph_of(&vg));
-        assert!(tsc_mvg::graph::is_connected(&vg));
-        assert!(tsc_mvg::graph::is_connected(&hvg));
+        // both graphs contain the path 0–1–…–(n−1), so they are connected
+        for i in 0..series.len() - 1 {
+            assert!(vg.has_edge(i, i + 1));
+            assert!(hvg.has_edge(i, i + 1));
+        }
         let counts = count_motifs(&vg);
         let n = vg.n_vertices() as u64;
         assert_eq!(counts.total_size4(), n * (n - 1) * (n - 2) * (n - 3) / 24);

@@ -13,9 +13,8 @@ use tsc_mvg::graph::motifs::{count_motifs_with, MotifWorkspace};
 use tsc_mvg::graph::visibility::{horizontal_visibility_graph, visibility_graph};
 use tsc_mvg::ml::forest::{RandomForest, RandomForestParams};
 use tsc_mvg::ml::gbt::{GradientBoosting, GradientBoostingParams};
-use tsc_mvg::ml::knn::KnnClassifier;
 use tsc_mvg::ml::stacking::{StackingEnsemble, StackingParams};
-use tsc_mvg::ml::svm::{SvmKernel, SvmParams};
+use tsc_mvg::ml::svm::{SvmClassifier, SvmKernel, SvmParams};
 use tsc_mvg::ml::traits::Classifier;
 use tsc_mvg::ml::tree::{DecisionTree, DecisionTreeParams};
 use tsc_mvg::ml::{FeatureMatrix, GridSearch};
@@ -282,8 +281,14 @@ fn stacking_with(n_threads: usize) -> StackingEnsemble {
         }),
     );
     ens.add_candidate(
-        "knn",
-        Box::new(|| Box::new(KnnClassifier::new(3)) as Box<dyn Classifier>),
+        "svm",
+        Box::new(|| {
+            Box::new(SvmClassifier::new(SvmParams {
+                kernel: SvmKernel::Rbf { gamma: 0.5 },
+                seed: 5,
+                ..Default::default()
+            })) as Box<dyn Classifier>
+        }),
     );
     ens
 }
@@ -311,13 +316,12 @@ fn stacked_probabilities_are_bit_identical_across_thread_counts() {
 
 #[test]
 fn baseline_classifiers_are_bit_identical_across_thread_counts() {
-    // SAX-VSM and Bag-of-Patterns build word histograms; with `BTreeMap`
-    // bags the float summation order inside every cosine/distance is the
-    // sorted word order, so two fits of the same data must agree bit for
-    // bit and `predict_parallel` must match serial `predict` for every
-    // thread count. The assertions cover the raw decision values (cosine
-    // similarities / 1NN distances), not just the argmax/argmin.
-    use tsc_mvg::baselines::bag_of_patterns::BagOfPatterns;
+    // SAX-VSM builds word histograms; with `BTreeMap` bags the float
+    // summation order inside every cosine is the sorted word order, so two
+    // fits of the same data must agree bit for bit and `predict_parallel`
+    // must match serial `predict` for every thread count. The assertions
+    // cover the raw decision values (cosine similarities), not just the
+    // argmax.
     use tsc_mvg::baselines::sax_vsm::{SaxVsm, SaxVsmParams};
     use tsc_mvg::baselines::traits::TscClassifier;
 
@@ -341,35 +345,13 @@ fn baseline_classifiers_are_bit_identical_across_thread_counts() {
         .collect();
     assert_eq!(bits(&sims_a), bits(&sims_b));
 
-    let mut bop_a = BagOfPatterns::default();
-    let mut bop_b = BagOfPatterns::default();
-    bop_a.fit(&train).unwrap();
-    bop_b.fit(&train).unwrap();
-    let dists_a: Vec<Vec<f64>> = test
-        .series()
-        .iter()
-        .map(|s| bop_a.distances_to_train(s).unwrap())
-        .collect();
-    let dists_b: Vec<Vec<f64>> = test
-        .series()
-        .iter()
-        .map(|s| bop_b.distances_to_train(s).unwrap())
-        .collect();
-    assert_eq!(bits(&dists_a), bits(&dists_b));
-
     // parallel prediction matches serial for every thread count
     let vsm_serial = vsm_a.predict(&test).unwrap();
-    let bop_serial = bop_a.predict(&test).unwrap();
     for n_threads in THREAD_COUNTS {
         assert_eq!(
             vsm_a.predict_parallel(&test, n_threads).unwrap(),
             vsm_serial,
             "SAX-VSM, n_threads = {n_threads}"
-        );
-        assert_eq!(
-            bop_a.predict_parallel(&test, n_threads).unwrap(),
-            bop_serial,
-            "Bag-of-Patterns, n_threads = {n_threads}"
         );
     }
 }
